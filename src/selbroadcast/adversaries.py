@@ -49,7 +49,8 @@ def _flip(bits: str, index: int = 0) -> str:
 
 
 class Strategy:
-    """Base: corrupts nothing, behaves honestly everywhere."""
+    """Base: corrupts nothing, behaves honestly everywhere.  The registry
+    holds this class itself under the name "honest"."""
 
     name = "honest"
 
@@ -66,10 +67,6 @@ class Strategy:
 
     def act(self, ctx: SlotCtx, honest_payload: str, rng: _random.Random) -> Transmission:
         return Broadcast(honest_payload)
-
-
-class Honest(Strategy):
-    name = "honest"
 
 
 class CrashSilent(Strategy):
@@ -200,7 +197,7 @@ class RandomizedByzantine(Strategy):
 STRATEGY_REGISTRY: dict[str, type[Strategy]] = {
     cls.name: cls
     for cls in (
-        Honest,
+        Strategy,
         CrashSilent,
         EquivocatingSource,
         SymbolCorruptor,

@@ -11,11 +11,16 @@ Traffic by fault-free nodes and traffic by compromised nodes are metered
 separately: reported algorithm complexity covers only nodes following the
 protocol.  One broadcast is one message with its payload bits counted
 once; a selective transmission costs one message per distinct receiver.
+Simulation.round meters each delivered slot once, into its TraceEntry and
+the TrafficMeter alike, so folding a trace (TrafficMeter.from_trace)
+reproduces the meter.  The point-to-point cost of the same execution, where
+a fault-free broadcast is n-1 messages, is the view TrafficMeter.as_unicast.
 """
 
 from __future__ import annotations
 
 import random as _random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -124,6 +129,27 @@ class TrafficMeter:
         c = self.by_phase.get(phase)
         return c.honest_messages if c else 0
 
+    @classmethod
+    def from_trace(cls, entries: Iterable["TraceEntry"]) -> "TrafficMeter":
+        """The meter of the execution that recorded `entries`."""
+        meter = cls()
+        for e in entries:
+            meter.add(e.honest, e.phase, e.messages, e.bits)
+        return meter
+
+    def as_unicast(self, n: int, phases: Iterable[str]) -> "TrafficMeter":
+        """Point-to-point view: in `phases`, every fault-free broadcast is
+        n-1 messages each carrying the payload.  Adversary counts, already
+        per receiver, are unchanged."""
+        phases = frozenset(phases)
+        view = TrafficMeter()
+        for phase, c in self.by_phase.items():
+            k = n - 1 if phase in phases else 1
+            view.by_phase[phase] = PhaseCounts(
+                c.honest_messages * k, c.honest_bits * k, c.adversary_messages, c.adversary_bits
+            )
+        return view
+
 
 class DisputeGraph:
     """Accumulated in-dispute pairs and the > t identification rule."""
@@ -131,6 +157,7 @@ class DisputeGraph:
     def __init__(self, t: int):
         self.t = t
         self.pairs: set[tuple[int, int]] = set()
+        self._degree: Counter[int] = Counter()
         self._directly_identified: set[int] = set()
 
     @staticmethod
@@ -145,13 +172,11 @@ class DisputeGraph:
         if key in self.pairs:
             return False
         self.pairs.add(key)
+        self._degree.update(key)
         return True
 
     def in_dispute(self, i: int, j: int) -> bool:
         return self._key(i, j) in self.pairs
-
-    def degree(self, v: int) -> int:
-        return sum(1 for p in self.pairs if v in p)
 
     def identify(self, nodes: Iterable[int]) -> None:
         """Directly mark nodes as faulty (used when a dispute-control pass
@@ -160,19 +185,20 @@ class DisputeGraph:
 
     @property
     def identified_faulty(self) -> frozenset[int]:
-        by_degree = {p for pair in self.pairs for p in pair if self.degree(p) > self.t}
+        by_degree = {v for v, d in self._degree.items() if d > self.t}
         return frozenset(by_degree | self._directly_identified)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEntry:
     round: int
     slot: int
     sender: int
-    kind: str  # "broadcast" | "selective" | "unicast"
+    kind: str  # "broadcast" | "selective"
     bits: int
     phase: str
     honest: bool
+    messages: int = 1
 
     def as_dict(self) -> dict:
         return {
@@ -183,17 +209,12 @@ class TraceEntry:
             "bits": self.bits,
             "phase": self.phase,
             "honest": self.honest,
+            "messages": self.messages,
         }
 
 
 def channel_deliver(
-    sender: int,
-    tx: Transmission,
-    n: int,
-    faulty: frozenset[int],
-    meter: Optional[TrafficMeter] = None,
-    phase: str = "",
-    unicast: bool = False,
+    sender: int, tx: Transmission, n: int, faulty: frozenset[int]
 ) -> dict[int, tuple[int, str]]:
     """Deliver one slot transmission to every other node.
 
@@ -201,31 +222,19 @@ def channel_deliver(
     non-empty payload.  Raises ModelViolation if a fault-free sender
     attempts a selective transmission.
     """
-    honest = sender not in faulty
     delivered: dict[int, tuple[int, str]] = {}
     if isinstance(tx, Broadcast):
         if tx.payload:
             for r in range(1, n + 1):
                 if r != sender:
                     delivered[r] = (sender, tx.payload)
-            if meter is not None:
-                if honest and unicast:
-                    meter.add(True, phase, n - 1, len(tx.payload) * (n - 1))
-                else:
-                    meter.add(honest, phase, 1, len(tx.payload))
     elif isinstance(tx, Selective):
-        if honest:
+        if sender not in faulty:
             raise ModelViolation(f"fault-free node {sender} attempted selective send")
-        messages = bits = 0
         for r in sorted(tx.payloads):
             p = tx.payloads[r]
-            if r == sender or not p:
-                continue
-            delivered[r] = (sender, p)
-            messages += 1
-            bits += len(p)
-        if meter is not None and messages:
-            meter.add(False, phase, messages, bits)
+            if r != sender and p:
+                delivered[r] = (sender, p)
     else:
         raise TypeError(f"unknown transmission {tx!r}")
     return delivered
@@ -242,13 +251,12 @@ class Simulation:
     The fault oracle is never readable by protocol logic.
     """
 
-    def __init__(self, config: SystemConfig, strategy, unicast_phases: frozenset[str] = frozenset()):
+    def __init__(self, config: SystemConfig, strategy):
         self.config = config
         self.strategy = strategy
         self.faulty = frozenset(strategy.corrupt_set())
         if len(self.faulty) > config.t:
             raise ValueError("strategy corrupts more than t nodes")
-        self.unicast_phases = unicast_phases
         self.meter = TrafficMeter()
         self.trace: list[TraceEntry] = []
         self.rng = _random.Random(config.seed)
@@ -279,22 +287,21 @@ class Simulation:
                 txs[s] = Broadcast(intents[s])
 
         inboxes: dict[int, dict[int, str]] = {i: {} for i in self.config.nodes}
-        unicast = phase in self.unicast_phases
         for slot, s in enumerate(senders, start=1):
-            delivered = channel_deliver(
-                s, txs[s], self.config.n, self.faulty, self.meter, phase, unicast
+            tx = txs[s]
+            delivered = channel_deliver(s, tx, self.config.n, self.faulty)
+            if not delivered:
+                continue
+            honest = s not in self.faulty
+            if isinstance(tx, Broadcast):
+                kind, messages, bits = "broadcast", 1, len(tx.payload)
+            else:
+                kind, messages = "selective", len(delivered)
+                bits = sum(len(p) for _, p in delivered.values())
+            self.trace.append(
+                TraceEntry(self.round_no, slot, s, kind, bits, phase, honest, messages)
             )
-            if delivered:
-                honest = s not in self.faulty
-                if isinstance(txs[s], Broadcast):
-                    kind = "unicast" if (honest and unicast) else "broadcast"
-                    bits = len(txs[s].payload)
-                else:
-                    kind = "selective"
-                    bits = sum(len(p) for _, p in delivered.values())
-                self.trace.append(
-                    TraceEntry(self.round_no, slot, s, kind, bits, phase, honest)
-                )
+            self.meter.add(honest, phase, messages, bits)
             for r, (snd, payload) in delivered.items():
                 inboxes[r][snd] = payload
         return inboxes

@@ -3,7 +3,7 @@
   selbroadcast run <scenario.json>   one scenario, CSV + optional traces
   selbroadcast sweep <grid.json>     cartesian parameter sweep
   selbroadcast verify-bounds N T L   print the closed-form bound values
-  selbroadcast replay <trace.jsonl>  summarize a recorded slot log
+  selbroadcast replay <trace.jsonl>  per-phase meter folded from a slot log
 
 Exit code is 0 iff every verdict is Pass.  On the first Fail the suite
 aborts, printing the offending seed and the path of a replayable trace.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import defaultdict
 from pathlib import Path
 
 from .bounds import (
@@ -24,6 +23,7 @@ from .bounds import (
     static_db_lower_bound_bits,
     total_bb_cost_bits,
 )
+from .channel import TraceEntry, TrafficMeter
 from .harness import MetricsRecord, Scenario, run_scenario, sweep, write_csv, write_trace
 
 
@@ -98,28 +98,17 @@ def _cmd_verify_bounds(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    per_phase: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
-    slots = 0
-    for line in Path(args.trace).read_text().splitlines():
-        if not line.strip():
-            continue
-        entry = json.loads(line)
-        slots += 1
-        bucket = per_phase[entry["phase"]]
-        messages = entry["bits"] and 1 or 0
-        if entry["kind"] == "selective":
-            messages = 1  # per-receiver split is not recorded per line
-        if entry.get("honest", True):
-            bucket[0] += 1
-            bucket[1] += entry["bits"]
-        else:
-            bucket[2] += 1
-            bucket[3] += entry["bits"]
-    print(f"{slots} slots")
+    lines = Path(args.trace).read_text().splitlines()
+    entries = [TraceEntry(**json.loads(line)) for line in lines if line.strip()]
+    meter = TrafficMeter.from_trace(entries)
+    print(f"{len(entries)} slots")
     print(f"{'phase':<8}{'honest_msgs':>12}{'honest_bits':>12}{'adv_msgs':>10}{'adv_bits':>10}")
-    for phase in sorted(per_phase):
-        h_m, h_b, a_m, a_b = per_phase[phase]
-        print(f"{phase:<8}{h_m:>12}{h_b:>12}{a_m:>10}{a_b:>10}")
+    for phase in sorted(meter.by_phase):
+        c = meter.by_phase[phase]
+        print(
+            f"{phase:<8}{c.honest_messages:>12}{c.honest_bits:>12}"
+            f"{c.adversary_messages:>10}{c.adversary_bits:>10}"
+        )
     return 0
 
 

@@ -7,20 +7,19 @@ remaining passive nodes -- who never transmit -- take a majority vote
 over the announcements.  Fault-free traffic is therefore independent of
 n once n > 3t+1.
 
-The consensus core is pluggable; the default has every active node
-EIG-broadcast its received value inside the committee and decides by
-plurality over the agreed vector (ties broken toward the smallest
-value).  Every step in which a fault-free node would send identical
-messages to several receivers is a single channel broadcast; running the
-core on a unicast-metered phase reproduces point-to-point accounting
-without changing any output.
+The consensus core has every active node EIG-broadcast its received
+value inside the committee and decides by plurality over the agreed
+vector (ties broken toward the smallest value).  Every step in which a
+fault-free node would send identical messages to several receivers is a
+single channel broadcast; `meter.as_unicast(n, {"CORE"})` gives the
+point-to-point cost of the same core.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from .adversaries import Strategy
 from .channel import (
@@ -69,8 +68,8 @@ def _plurality(values: Sequence[str]) -> str:
 
 
 def eig_core(sim: Simulation, layout: CommitteeLayout, received: dict[int, str], value_len: int, t: int) -> dict[int, str]:
-    """Default consensus core: one EIG instance per active node over its
-    received value; decide the plurality of the agreed vector."""
+    """Consensus core: one EIG instance per active node over its received
+    value; decide the plurality of the agreed vector."""
     agreed: dict[int, dict[int, str]] = {i: {} for i in layout.active}
     for s in layout.active:
         res = eig_broadcast(sim, s, received[s], value_len, layout.active, t, "CORE", "core")
@@ -79,20 +78,11 @@ def eig_core(sim: Simulation, layout: CommitteeLayout, received: dict[int, str],
     return {i: _plurality([agreed[i][s] for s in layout.active]) for i in layout.active}
 
 
-def run_algorithm2(
-    x: str,
-    config: SystemConfig,
-    strategy: Strategy,
-    core: Optional[Callable] = None,
-    core_mode: str = "broadcast",
-) -> BbOutcome:
+def run_algorithm2(x: str, config: SystemConfig, strategy: Strategy) -> BbOutcome:
     """Source broadcast, committee consensus, announcement, majority vote."""
     if len(x) != config.L:
         raise ValueError(f"input must be exactly L={config.L} bits")
-    if core_mode not in ("broadcast", "unicast"):
-        raise ValueError("core_mode must be 'broadcast' or 'unicast'")
-    unicast = frozenset({"CORE"}) if core_mode == "unicast" else frozenset()
-    sim = Simulation(config, strategy, unicast_phases=unicast)
+    sim = Simulation(config, strategy)
     layout = committee_layout(config)
     L = config.L
 
@@ -105,7 +95,7 @@ def run_algorithm2(
             p = inbox[i].get(1, "")
             received[i] = p if len(p) == L else "0" * L
 
-    decisions = (core or eig_core)(sim, layout, received, L, config.t)
+    decisions = eig_core(sim, layout, received, L, config.t)
     fault_free_active = [i for i in layout.active if i not in sim.faulty]
     if len({decisions[i] for i in fault_free_active}) != 1:
         raise ProtocolError("fault-free active nodes decided differently")

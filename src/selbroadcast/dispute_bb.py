@@ -70,11 +70,6 @@ def default_block(k: int) -> Block:
     return (0,) * k
 
 
-def db_source_payload(x_bits: str) -> str:
-    """Detectable Broadcast opening slot: the D-bit source block."""
-    return x_bits
-
-
 def db_peer_symbol(code: RSCode, block: Optional[Block], i: int) -> str:
     """Peer i's coded-symbol slot payload ("" = stay silent)."""
     if block is None:
@@ -226,7 +221,7 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
             continue
 
         # --- Detectable Broadcast -------------------------------------
-        inbox = sim.round({1: db_source_payload(x_bits)}, "DB", "source_value")
+        inbox = sim.round({1: x_bits}, "DB", "source_value")
         active_peers = [i for i in config.peers if i not in excluded]
         blocks: dict[int, Optional[Block]] = {}
         for i in active_peers:

@@ -3,8 +3,8 @@
 The classical t+1-round algorithm for t < n/3, used here as the 1-bit and
 small-value broadcast subroutine.  It was designed for point-to-point
 links, but every fault-free relayer sends identical content to everyone,
-so each relay round collapses to a single channel broadcast (and on a
-unicast-metered phase the traffic matches the point-to-point execution).
+so each relay round collapses to a single channel broadcast
+(`TrafficMeter.as_unicast` gives the point-to-point traffic).
 
 Tree labels are tuples of distinct node ids rooted at the designated
 source.  Round 1 the source sends its value; in round r every node

@@ -1,11 +1,13 @@
 import pytest
 
+from selbroadcast.adversaries import make_strategy
 from selbroadcast.channel import (
     BbOutcome,
     Broadcast,
     DisputeGraph,
     ModelViolation,
     Selective,
+    Simulation,
     SystemConfig,
     TrafficMeter,
     channel_deliver,
@@ -26,43 +28,58 @@ def test_config_invariants():
         SystemConfig(n=4, t=1, c=3, L=12, D=5)
 
 
+def _sim(strategy_name="honest"):
+    config = SystemConfig(n=4, t=1, c=3, L=12)
+    return Simulation(config, make_strategy(strategy_name, config))
+
+
 def test_broadcast_delivery_and_accounting():
-    meter = TrafficMeter()
-    delivered = channel_deliver(2, Broadcast("101101"), 4, frozenset(), meter, "DB")
+    delivered = channel_deliver(2, Broadcast("101101"), 4, frozenset())
     assert delivered == {1: (2, "101101"), 3: (2, "101101"), 4: (2, "101101")}
-    assert meter.honest_messages == 1
-    assert meter.honest_bits == 6
-    assert meter.adversary_messages == 0
+    sim = _sim()
+    sim.round({2: "101101"}, "DB", "alg1.symbol")
+    assert sim.meter.honest_messages == 1
+    assert sim.meter.honest_bits == 6
+    assert sim.meter.adversary_messages == 0
+    assert [(e.kind, e.messages, e.bits) for e in sim.trace] == [("broadcast", 1, 6)]
 
 
 def test_selective_delivery_from_faulty_sender():
-    meter = TrafficMeter()
-    delivered = channel_deliver(
-        1, Selective({2: "0", 3: "1", 4: "1"}), 4, frozenset({1}), meter, "DB"
-    )
+    delivered = channel_deliver(1, Selective({2: "0", 3: "1", 4: "1"}), 4, frozenset({1}))
     assert delivered == {2: (1, "0"), 3: (1, "1"), 4: (1, "1")}
-    assert meter.adversary_messages == 3
-    assert meter.adversary_bits == 3
-    assert meter.honest_messages == 0
+    sim = _sim("equivocating_source")  # node 1 sends one receiver a flipped bit
+    sim.round({1: "1"}, "DB", "source_value")
+    assert sim.meter.adversary_messages == 3
+    assert sim.meter.adversary_bits == 3
+    assert sim.meter.honest_messages == 0
+    assert [(e.kind, e.messages, e.bits) for e in sim.trace] == [("selective", 3, 3)]
 
 
 def test_silence_is_free():
-    meter = TrafficMeter()
-    assert channel_deliver(2, Broadcast(""), 4, frozenset(), meter, "DB") == {}
-    assert meter.honest_messages == 0
-    assert meter.honest_bits == 0
+    assert channel_deliver(2, Broadcast(""), 4, frozenset()) == {}
+    sim = _sim()
+    sim.round({2: ""}, "DB", "alg1.symbol")
+    assert sim.meter.honest_messages == 0
+    assert sim.meter.honest_bits == 0
+    assert sim.trace == []
 
 
 def test_fault_free_selective_is_a_model_violation():
     with pytest.raises(ModelViolation):
-        channel_deliver(2, Selective({3: "1"}), 4, frozenset(), TrafficMeter(), "DB")
+        channel_deliver(2, Selective({3: "1"}), 4, frozenset())
 
 
 def test_unicast_metering():
-    meter = TrafficMeter()
-    channel_deliver(2, Broadcast("10"), 4, frozenset(), meter, "CORE", unicast=True)
-    assert meter.honest_messages == 3
-    assert meter.honest_bits == 6
+    sim = _sim("equivocating_source")
+    sim.round({1: "1", 2: "10"}, "CORE", "source_value")
+    unicast = sim.meter.as_unicast(4, {"CORE"})
+    # the fault-free broadcast becomes n - 1 = 3 two-bit messages; the
+    # faulty source's selective send was already counted per receiver
+    assert unicast.honest_messages == 3
+    assert unicast.honest_bits == 6
+    assert unicast.adversary_messages == sim.meter.adversary_messages == 3
+    assert unicast.adversary_bits == sim.meter.adversary_bits == 3
+    assert sim.meter.as_unicast(4, {"DB"}).honest_messages == 1
 
 
 def test_dispute_graph_identification():

@@ -1,5 +1,5 @@
 """Committee-based broadcast: layout, majority vote, n-independent honest
-traffic, passive silence, and unicast-metered core accounting."""
+traffic, passive silence, and the point-to-point view of core traffic."""
 
 import pytest
 
@@ -15,12 +15,12 @@ from selbroadcast import (
 )
 
 
-def run(n, t, c, L, strategy_name, seed=0, core_mode="broadcast", **params):
+def run(n, t, c, L, strategy_name, seed=0, **params):
     config = SystemConfig(n=n, t=t, c=c, L=L, seed=seed)
     strategy = make_strategy(strategy_name, config, **params)
     rng_x = __import__("random").Random(seed)
     x = "".join("01"[rng_x.getrandbits(1)] for _ in range(L))
-    return x, run_algorithm2(x, config, strategy, core_mode=core_mode)
+    return x, run_algorithm2(x, config, strategy)
 
 
 def test_layout():
@@ -73,14 +73,14 @@ def test_passive_nodes_never_transmit():
 
 
 def test_unicast_core_same_outputs_more_messages():
-    x, broadcast_out = run(10, 1, 4, 32, "honest", core_mode="broadcast")
-    x2, unicast_out = run(10, 1, 4, 32, "honest", core_mode="unicast")
-    assert x == x2
-    assert broadcast_out.outputs == unicast_out.outputs
-    assert unicast_out.meter.honest_messages > broadcast_out.meter.honest_messages
-    # a unicast-metered broadcast counts once per receiver (n - 1 = 9)
-    b = broadcast_out.meter.by_phase["CORE"].honest_messages
-    assert unicast_out.meter.by_phase["CORE"].honest_messages == b * 9
+    _, out = run(10, 1, 4, 32, "honest")
+    unicast = out.meter.as_unicast(out.config.n, {"CORE"})
+    assert unicast.honest_messages > out.meter.honest_messages
+    # a point-to-point broadcast counts once per receiver (n - 1 = 9)
+    b = out.meter.by_phase["CORE"]
+    assert unicast.by_phase["CORE"].honest_messages == b.honest_messages * 9
+    assert unicast.by_phase["CORE"].honest_bits == b.honest_bits * 9
+    assert unicast.by_phase["SRC"] == out.meter.by_phase["SRC"]
 
 
 @pytest.mark.parametrize("strategy_name", ["equivocating_source", "detection_liar", "randomized_byzantine"])
@@ -99,5 +99,3 @@ def test_input_length_validated():
     config = SystemConfig(n=10, t=1, c=4, L=32)
     with pytest.raises(ValueError):
         run_algorithm2("0" * 31, config, make_strategy("honest", config))
-    with pytest.raises(ValueError):
-        run_algorithm2("0" * 32, config, make_strategy("honest", config), core_mode="multicast")

@@ -7,13 +7,18 @@ import pytest
 
 from selbroadcast import (
     CSV_COLUMNS,
+    STRATEGY_REGISTRY,
     Scenario,
+    TrafficMeter,
     run_scenario,
     sweep,
     write_csv,
     write_trace,
 )
+from selbroadcast.channel import TraceEntry
 from selbroadcast.cli import main
+
+METER_COLUMNS = ("honest_messages", "honest_bits", "adversary_messages", "adversary_bits")
 
 
 def test_scenario_from_nested_dict():
@@ -164,3 +169,43 @@ def test_cli_replay(tmp_path, capsys):
     assert main(["replay", str(trace)]) == 0
     printed = capsys.readouterr().out
     assert "slots" in printed and "DB" in printed
+
+
+def _read_trace(path):
+    return [TraceEntry(**json.loads(line)) for line in path.read_text().splitlines()]
+
+
+def test_replay_reproduces_csv_meter_columns(tmp_path):
+    # the acceptance corpus sizes, both algorithms, every strategy, seeds 0-4
+    for n, t, c, L in ((4, 1, 3, 12), (7, 2, 3, 18)):
+        for algorithm in ("dispute_bb", "algo2"):
+            for name in sorted(STRATEGY_REGISTRY):
+                scenario = Scenario(n=n, t=t, c=c, L=L, algorithm=algorithm,
+                                    strategy=name, repetitions=5)
+                for record in run_scenario(scenario):
+                    path = tmp_path / "trace.jsonl"
+                    write_trace(record, path)
+                    meter = TrafficMeter.from_trace(_read_trace(path))
+                    replayed = {col: getattr(meter, col) for col in METER_COLUMNS}
+                    assert replayed == {col: record.row[col] for col in METER_COLUMNS}, (
+                        n, algorithm, name, record.seed)
+                    assert meter.by_phase == record.outcome.meter.by_phase
+
+
+def test_cli_replay_counts_selective_sends_per_receiver(tmp_path, capsys):
+    record = run_scenario(Scenario(n=7, t=2, c=3, L=18, strategy="randomized_byzantine"))[0]
+    path = tmp_path / "trace.jsonl"
+    write_trace(record, path)
+    assert main(["replay", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{len(record.outcome.trace)} slots"
+    rows = {}
+    for line in lines[2:]:
+        phase, *counts = line.split()
+        rows[phase] = tuple(map(int, counts))
+    meter = record.outcome.meter
+    assert rows == {
+        phase: (c.honest_messages, c.honest_bits, c.adversary_messages, c.adversary_bits)
+        for phase, c in meter.by_phase.items()
+    }
+    assert sum(r[2] for r in rows.values()) == record.row["adversary_messages"] == 324
