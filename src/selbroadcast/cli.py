@@ -98,8 +98,18 @@ def _cmd_verify_bounds(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    lines = Path(args.trace).read_text().splitlines()
-    entries = [TraceEntry(**json.loads(line)) for line in lines if line.strip()]
+    entries = []
+    for lineno, line in enumerate(Path(args.trace).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = json.loads(line)
+        # A line without "messages" predates per-receiver counts: its
+        # selective sends cannot be folded into the meter.
+        if "messages" not in fields:
+            print(f"{args.trace}:{lineno}: no \"messages\" field; re-run to get a replayable trace",
+                  file=sys.stderr)
+            return 1
+        entries.append(TraceEntry(**fields))
     meter = TrafficMeter.from_trace(entries)
     print(f"{len(entries)} slots")
     print(f"{'phase':<8}{'honest_msgs':>12}{'honest_bits':>12}{'adv_msgs':>10}{'adv_bits':>10}")

@@ -70,12 +70,11 @@ def _plurality(values: Sequence[str]) -> str:
 def eig_core(sim: Simulation, layout: CommitteeLayout, received: dict[int, str], value_len: int, t: int) -> dict[int, str]:
     """Consensus core: one EIG instance per active node over its received
     value; decide the plurality of the agreed vector."""
-    agreed: dict[int, dict[int, str]] = {i: {} for i in layout.active}
-    for s in layout.active:
-        res = eig_broadcast(sim, s, received[s], value_len, layout.active, t, "CORE", "core")
-        for i in layout.active:
-            agreed[i][s] = res[i]
-    return {i: _plurality([agreed[i][s] for s in layout.active]) for i in layout.active}
+    results = [
+        eig_broadcast(sim, s, received[s], value_len, layout.active, t, "CORE", "core")
+        for s in layout.active
+    ]
+    return {i: _plurality([res[i] for res in results]) for i in layout.active}
 
 
 def run_algorithm2(x: str, config: SystemConfig, strategy: Strategy) -> BbOutcome:

@@ -70,17 +70,10 @@ def default_block(k: int) -> Block:
     return (0,) * k
 
 
-def db_peer_symbol(code: RSCode, block: Optional[Block], i: int) -> str:
-    """Peer i's coded-symbol slot payload ("" = stay silent)."""
-    if block is None:
-        return ""
-    return symbols_to_bits([code.encode(block)[i - 1]], code.field.c)
-
-
 def db_assemble_view(
     code: RSCode,
     i: int,
-    block: Optional[Block],
+    own: Optional[tuple[int, ...]],
     received_symbols: dict[int, str],
     disputes: DisputeGraph,
     excluded: frozenset[int],
@@ -89,12 +82,12 @@ def db_assemble_view(
 
     Null for every node in dispute with i or with the source, for
     excluded nodes, and for silent peers.  Positions 1 and i come from
-    i's own re-encoding when i trusts the source.
+    `own`, i's re-encoding of the block it received, which is None when
+    i is in dispute with the source.
     """
     n, c = code.n, code.field.c
     view: list[Optional[int]] = [None] * n
-    if block is not None:  # not in dispute with the source
-        own = code.encode(block)
+    if own is not None:
         view[0] = own[0]
         view[i - 1] = own[i - 1]
     for j in range(2, n + 1):
@@ -190,6 +183,14 @@ def derive_disputes(
     return new
 
 
+def _agreed(res: dict[int, str], fault_free, what: str) -> str:
+    """The one output all fault-free nodes resolved in an EIG instance."""
+    agreed = {res[j] for j in fault_free}
+    if len(agreed) != 1:
+        raise ProtocolError(f"{what} did not agree")
+    return agreed.pop()
+
+
 def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) -> BbOutcome:
     """Iterate the three-phase loop over all L/D generations."""
     if len(x) != config.L:
@@ -223,19 +224,27 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
         # --- Detectable Broadcast -------------------------------------
         inbox = sim.round({1: x_bits}, "DB", "source_value")
         active_peers = [i for i in config.peers if i not in excluded]
+        # blocks[i]: the block peer i received; own[i]: its codeword.
+        # Both are None when i is in dispute with the source, and i then
+        # stays silent in the symbol slot.
         blocks: dict[int, Optional[Block]] = {}
+        own: dict[int, Optional[tuple[int, ...]]] = {}
         for i in active_peers:
             if disputes.in_dispute(1, i):
-                blocks[i] = None
+                blocks[i] = own[i] = None
             else:
                 blocks[i] = bits_to_symbols(_pad(inbox[i].get(1, ""), D), c)
+                own[i] = code.encode(blocks[i])
 
-        intents = {i: db_peer_symbol(code, blocks[i], i) for i in active_peers}
+        intents = {
+            i: "" if own[i] is None else symbols_to_bits([own[i][i - 1]], c)
+            for i in active_peers
+        }
         inbox2 = sim.round(intents, "DB", "alg1.symbol")
 
         views: dict[int, list[Optional[int]]] = {}
         for i in active_peers:
-            views[i] = db_assemble_view(code, i, blocks[i], inbox2[i], disputes, excluded)
+            views[i] = db_assemble_view(code, i, own[i], inbox2[i], disputes, excluded)
             z_i, det_i = db_resolve(code, views[i])
             rec.z[i], rec.detected[i] = z_i, det_i
 
@@ -247,10 +256,7 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
                 continue
             bit = "1" if rec.detected.get(i, False) else "0"
             res = eig_broadcast(sim, i, bit, 1, nodes, t, "DD", "dd", skip=excluded)
-            agreed = {res[j] for j in fault_free}
-            if len(agreed) != 1:
-                raise ProtocolError(f"detection broadcast of node {i} did not agree")
-            rec.announced[i] = agreed.pop() == "1"
+            rec.announced[i] = _agreed(res, fault_free, f"detection broadcast of node {i}") == "1"
 
         if not any(rec.announced.values()):
             for i in config.peers:
@@ -267,10 +273,7 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
         rec.dc_invoked = True
 
         res = eig_broadcast(sim, 1, x_bits, D, nodes, t, "DC", "dc_value", skip=excluded)
-        agreed_x = {res[j] for j in fault_free}
-        if len(agreed_x) != 1:
-            raise ProtocolError("dispute-control value broadcast did not agree")
-        x_common_bits = agreed_x.pop()
+        x_common_bits = _agreed(res, fault_free, "dispute-control value broadcast")
         x_common = bits_to_symbols(x_common_bits, c)
 
         claim_len = 1 + c * k + n * (1 + c)
@@ -278,10 +281,7 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
         for i in active_peers:
             payload = serialize_claim(blocks[i], views[i], c, k)
             res = eig_broadcast(sim, i, payload, claim_len, nodes, t, "DC", "dc_claim", skip=excluded)
-            agreed_claims = {res[j] for j in fault_free}
-            if len(agreed_claims) != 1:
-                raise ProtocolError(f"claim broadcast of peer {i} did not agree")
-            claims[i] = parse_claim(agreed_claims.pop(), n, c, k)
+            claims[i] = parse_claim(_agreed(res, fault_free, f"claim broadcast of peer {i}"), n, c, k)
 
         new_pairs = derive_disputes(code, x_common, claims, disputes, excluded)
         rec.new_pairs = tuple(new_pairs)

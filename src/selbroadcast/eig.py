@@ -12,12 +12,20 @@ broadcasts, for each level-(r-1) label not containing it, the value it
 holds for that label.  After t+1 rounds each node resolves the tree
 bottom-up by strict majority with an all-zeros default on ties or
 missing values.
+
+Layout: `level` lists the labels of one tree depth, and each node holds
+one list of values aligned with it.  The next level is built as
+`[lab + (i,) for lab in level for i in participants if i not in lab]`,
+so the children of `level[k]` form the k-th contiguous block of the next
+level, every block of the same size.  Relaying and resolving therefore
+go by position alone; labels are only consulted to decide who relays
+what.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, Optional, Sequence
+from itertools import repeat
+from typing import Optional, Sequence
 
 from .channel import Simulation
 
@@ -43,6 +51,14 @@ def _parse_level(payload: str, count: int, value_len: int) -> list[Optional[str]
     return out
 
 
+def _majority(values: list[str], default: str) -> str:
+    """The strict-majority value of `values`, else `default`."""
+    for value in set(values):
+        if 2 * values.count(value) > len(values):
+            return value
+    return default
+
+
 def eig_broadcast(
     sim: Simulation,
     source: int,
@@ -64,86 +80,53 @@ def eig_broadcast(
         raise ValueError("source must participate")
     if len(participants) < 3 * faults + 1:
         raise ValueError("need at least 3t+1 participants")
-    rounds = faults + 1
+    m = len(participants)
     extra = {"purpose": purpose, "eig_source": source, "value_len": value_len}
 
-    trees: dict[int, dict[tuple[int, ...], Optional[str]]] = {i: {} for i in participants}
-    root = (source,)
     intents = {} if source in skip else {source: value}
     inbox = sim.round(intents, phase, "eig.source", extra)
-    for i in participants:
-        if i == source:
-            trees[i][root] = value if len(value) == value_len else None
-        else:
-            trees[i][root] = _canon(inbox[i].get(source), value_len)
+    held = {j: [_canon(inbox[j].get(source), value_len)] for j in participants}
+    held[source] = [value if len(value) == value_len else None]
 
-    level = [root]
-    for _ in range(2, rounds + 1):
-        sendable: dict[int, list[tuple[int, ...]]] = {}
+    level = [(source,)]
+    for _ in range(faults):
+        # sent[i]: i's held values of the labels not containing i, in level order.
+        sent: dict[int, list[Optional[str]]] = {}
         intents = {}
         for i in participants:
             if i in skip:
                 continue
-            labels = [lab for lab in level if i not in lab]
-            if not labels:
+            values = [v for lab, v in zip(level, held[i]) if i not in lab]
+            if not values:
                 continue
-            sendable[i] = labels
-            tree = trees[i]
-            parts = []
-            for lab in labels:
-                v = tree[lab]
-                parts.append("0" + "0" * value_len if v is None else "1" + v)
-            intents[i] = "".join(parts)
+            sent[i] = values
+            intents[i] = "".join("0" + "0" * value_len if v is None else "1" + v for v in values)
         inbox = sim.round(intents, phase, "eig.relay", extra)
+        level = [lab + (i,) for lab in level for i in participants if i not in lab]
+        # Child lab + (i,) takes the next value i relayed.  A skipped
+        # relayer's positions resolve to the default, as do a silent one's
+        # (its empty payload parses to all None).
         parsed: dict[tuple[int, str], list[Optional[str]]] = {}
         for j in participants:
-            tree = trees[j]
-            box = inbox[j]
-            for i, labels in sendable.items():
-                if i == j:
-                    for lab in labels:
-                        tree[lab + (i,)] = tree[lab]
-                    continue
-                payload = box.get(i, "")
-                key = (i, payload)
-                if key not in parsed:
-                    parsed[key] = _parse_level(payload, len(labels), value_len)
-                for lab, v in zip(labels, parsed[key]):
-                    tree[lab + (i,)] = v
-        level = [lab + (i,) for lab in level for i in participants if i not in lab]
-        # Labels whose last relayer was silent (skipped node, or a faulty
-        # node that sent nothing) resolve to the default.
-        for j in participants:
-            tree = trees[j]
-            for lab in level:
-                tree.setdefault(lab, None)
+            streams = {}
+            for i in participants:
+                if i not in sent:
+                    streams[i] = repeat(None)
+                elif i == j:
+                    streams[i] = iter(sent[i])
+                else:
+                    key = (i, inbox[j].get(i, ""))
+                    if key not in parsed:
+                        parsed[key] = _parse_level(key[1], len(sent[i]), value_len)
+                    streams[i] = iter(parsed[key])
+            held[j] = [next(streams[lab[-1]]) for lab in level]
 
     default = "0" * value_len
     outputs = {}
-    for i in participants:
-        outputs[i] = _resolve(trees[i], level, participants, rounds, default)
+    for j in participants:
+        values = [v or default for v in held[j]]
+        # Children blocks grow by one per level toward the root.
+        for size in range(m - faults, m):
+            values = [_majority(values[k : k + size], default) for k in range(0, len(values), size)]
+        outputs[j] = values[0]
     return outputs
-
-
-def _resolve(
-    tree: dict[tuple[int, ...], Optional[str]],
-    leaves: Iterable[tuple[int, ...]],
-    participants: Sequence[int],
-    rounds: int,
-    default: str,
-) -> str:
-    memo: dict[tuple[int, ...], str] = {}
-    for lab in leaves:
-        memo[lab] = tree.get(lab) or default
-    labels = sorted(tree, key=len, reverse=True)
-    for lab in labels:
-        if len(lab) == rounds:
-            continue
-        children = [memo[lab + (j,)] for j in participants if j not in lab]
-        counts = Counter(children).most_common()
-        if counts and counts[0][1] * 2 > len(children):
-            memo[lab] = counts[0][0]
-        else:
-            memo[lab] = default
-    # len(lab) == rounds == 1 happens when t == 0: the root is the leaf.
-    return memo[min(labels, key=len)]

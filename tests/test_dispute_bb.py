@@ -6,12 +6,12 @@ from selbroadcast.adversaries import make_strategy
 from selbroadcast.channel import (
     DisputeGraph,
     ProtocolError,
+    Simulation,
     SystemConfig,
     check_bb_properties,
 )
 from selbroadcast.dispute_bb import (
     db_assemble_view,
-    db_peer_symbol,
     db_resolve,
     derive_disputes,
     parse_claim,
@@ -42,15 +42,31 @@ def run(n, t, c, L, strategy_name, seed=0, x=None, **params):
 # --- Detectable Broadcast step operations ------------------------------
 
 
-def test_peer_symbol_payload(code):
-    # peer 3 holding (1,0): codeword (1,1,1,1), symbol 1 as 3 bits
-    assert db_peer_symbol(code, (1, 0), 3) == "001"
-    assert db_peer_symbol(code, None, 3) == ""  # in dispute with source
+def test_peer_symbol_payload(monkeypatch):
+    sent = []
+    original = Simulation.round
+
+    def spy(self, intents, phase, tag, extra=None):
+        if tag == "alg1.symbol":
+            sent.append(dict(intents))
+        return original(self, intents, phase, tag, extra)
+
+    monkeypatch.setattr(Simulation, "round", spy)
+    cfg = SystemConfig(n=4, t=1, c=3, L=12)
+    # every peer holding (1,0): codeword (1,1,1,1), its symbol 1 as 3 bits
+    run_byzantine_broadcast("001000" * 2, cfg, make_strategy("honest", cfg))
+    assert sent == [{2: "001", 3: "001", 4: "001"}] * 2
+    sent.clear()
+    # generation 1's dispute control pairs the equivocating source with
+    # peer 2, which then stays silent in its symbol slot
+    out = run_byzantine_broadcast("001000" * 2, cfg, make_strategy("equivocating_source", cfg))
+    assert out.generations[0].new_pairs == ((1, 2),)
+    assert sent[1][2] == ""
 
 
 def test_assemble_view_honest(code):
     received = {3: "001", 4: "001"}
-    view = db_assemble_view(code, 2, (1, 0), received, DisputeGraph(1), frozenset())
+    view = db_assemble_view(code, 2, code.encode((1, 0)), received, DisputeGraph(1), frozenset())
     assert view == [1, 1, 1, 1]
 
 
@@ -58,7 +74,7 @@ def test_assemble_view_nulls_disputed_peer(code):
     disputes = DisputeGraph(1)
     disputes.add(2, 4)
     received = {3: "001", 4: "001"}
-    view = db_assemble_view(code, 2, (1, 0), received, disputes, frozenset())
+    view = db_assemble_view(code, 2, code.encode((1, 0)), received, disputes, frozenset())
     assert view == [1, 1, 1, None]
 
 
@@ -66,7 +82,7 @@ def test_assemble_view_under_equivocation(code):
     # source sent u=(1,0) to p2, p3 and v=(0,1) to p4: p4's symbol slot
     # carries encode(v)[4] = 3
     received = {3: "001", 4: "011"}
-    view = db_assemble_view(code, 2, (1, 0), received, DisputeGraph(1), frozenset())
+    view = db_assemble_view(code, 2, code.encode((1, 0)), received, DisputeGraph(1), frozenset())
     assert view == [1, 1, 1, 3]
 
 

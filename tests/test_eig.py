@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import eig_reference
 from selbroadcast.adversaries import Broadcast, Selective, Strategy, make_strategy
 from selbroadcast.channel import Simulation, SystemConfig
 from selbroadcast.eig import eig_broadcast
@@ -107,3 +110,63 @@ def test_participant_count_validated():
     sim = sim_for(4, 1, 3, 12)
     with pytest.raises(ValueError):
         eig_broadcast(sim, 1, "1", 1, [1, 2, 3], 1, "DD", "dd")
+
+
+class RelayFuzzer(Strategy):
+    """Corrupts `params["corrupt"]`; in every slot each receiver gets, at
+    random, the honest payload, silence, a payload of the wrong length,
+    the honest payload with one bit flipped, or fresh bits of the honest
+    length (an equivocation)."""
+
+    name = "relay_fuzzer"
+
+    def corrupt_set(self):
+        return self.params["corrupt"]
+
+    def act(self, ctx, honest_payload, rng):
+        rnd, size = self.rng, len(honest_payload)
+        out = {}
+        for r in ctx.receivers:
+            mode = rnd.randrange(5)
+            if mode == 0:
+                out[r] = honest_payload
+            elif mode == 1:
+                out[r] = ""
+            elif mode == 2:
+                length = rnd.choice([k for k in range(2 * size + 3) if k != size])
+                out[r] = "".join(rnd.choice("01") for _ in range(length))
+            elif mode == 3:
+                k = rnd.randrange(size)
+                out[r] = honest_payload[:k] + "10"[int(honest_payload[k])] + honest_payload[k + 1 :]
+            else:
+                out[r] = "".join(rnd.choice("01") for _ in range(size))
+        return Selective(out)
+
+
+@st.composite
+def eig_instances(draw):
+    n, t, L = draw(st.sampled_from([(4, 1, 12), (7, 2, 9)]))
+    nodes = range(1, n + 1)
+    source = draw(st.sampled_from(nodes))
+    value_len = draw(st.sampled_from([1, 6]))
+    value = "".join(draw(st.lists(st.sampled_from("01"), min_size=value_len, max_size=value_len)))
+    corrupt = draw(st.sets(st.sampled_from(nodes), max_size=t))
+    others = [i for i in nodes if i != source]
+    skip = draw(st.sets(st.sampled_from(others), max_size=t))
+    seed = draw(st.integers(0, 2**16))
+    return n, t, L, source, value, value_len, frozenset(corrupt), frozenset(skip), seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(eig_instances())
+def test_flat_levels_match_label_keyed_reference(instance):
+    # Twin simulations with fresh strategy instances see the same calls,
+    # so any difference in outputs or trace is a difference in EIG.
+    n, t, L, source, value, value_len, corrupt, skip, seed = instance
+    cfg = SystemConfig(n=n, t=t, c=3, L=L, seed=seed)
+    runs = []
+    for broadcast in (eig_broadcast, eig_reference.eig_broadcast):
+        sim = Simulation(cfg, RelayFuzzer(cfg, corrupt=corrupt, seed=seed))
+        out = broadcast(sim, source, value, value_len, range(1, n + 1), t, "DD", "dd", skip=skip)
+        runs.append((out, [e.as_dict() for e in sim.trace]))
+    assert runs[0] == runs[1]

@@ -209,3 +209,17 @@ def test_cli_replay_counts_selective_sends_per_receiver(tmp_path, capsys):
         for phase, c in meter.by_phase.items()
     }
     assert sum(r[2] for r in rows.values()) == record.row["adversary_messages"] == 324
+
+
+def test_cli_replay_rejects_trace_without_message_counts(tmp_path, capsys):
+    # A trace from before lines carried "messages" would replay each
+    # selective send as one message; replay must refuse it.
+    record = run_scenario(Scenario(n=7, t=2, c=3, L=18, strategy="randomized_byzantine"))[0]
+    path = tmp_path / "trace.jsonl"
+    write_trace(record, path)
+    lines = path.read_text().splitlines()
+    old = [json.dumps({k: v for k, v in json.loads(line).items() if k != "messages"})
+           for line in lines[1:]]
+    path.write_text("\n".join(lines[:1] + old) + "\n")
+    assert main(["replay", str(path)]) != 0
+    assert f"{path}:2:" in capsys.readouterr().err
