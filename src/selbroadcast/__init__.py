@@ -29,7 +29,7 @@ from .channel import (
 from .committee import CommitteeLayout, committee_layout, majority_vote, run_algorithm2
 from .dispute_bb import run_byzantine_broadcast
 from .eig import eig_broadcast
-from .gf import GF, DEFAULT_POLYNOMIALS, is_irreducible
+from .gf import GF, DEFAULT_POLYNOMIALS
 from .harness import (
     CSV_COLUMNS,
     MetricsRecord,
@@ -45,7 +45,6 @@ from .rs import RSCode, bits_to_symbols, symbols_to_bits
 __all__ = [
     "GF",
     "DEFAULT_POLYNOMIALS",
-    "is_irreducible",
     "RSCode",
     "bits_to_symbols",
     "symbols_to_bits",

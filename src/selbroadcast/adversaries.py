@@ -65,7 +65,7 @@ class Strategy:
     def corrupt_set(self) -> frozenset[int]:
         return frozenset()
 
-    def act(self, ctx: SlotCtx, honest_payload: str, rng: _random.Random) -> Transmission:
+    def act(self, ctx: SlotCtx, honest_payload: str) -> Transmission:
         return Broadcast(honest_payload)
 
 
@@ -78,7 +78,7 @@ class CrashSilent(Strategy):
         n, t = self.config.n, self.config.t
         return frozenset(range(n - t + 1, n + 1))
 
-    def act(self, ctx, honest_payload, rng):
+    def act(self, ctx, honest_payload):
         return Broadcast("")
 
 
@@ -101,7 +101,7 @@ class EquivocatingSource(Strategy):
     def corrupt_set(self) -> frozenset[int]:
         return frozenset({1})
 
-    def act(self, ctx, honest_payload, rng):
+    def act(self, ctx, honest_payload):
         if ctx.tag != "source_value" or not honest_payload:
             return Broadcast(honest_payload)
         v = self.params.get("v_bits")
@@ -124,7 +124,7 @@ class SymbolCorruptor(Strategy):
     def corrupt_set(self) -> frozenset[int]:
         return frozenset({self.config.n})
 
-    def act(self, ctx, honest_payload, rng):
+    def act(self, ctx, honest_payload):
         if ctx.tag != "alg1.symbol" or not honest_payload:
             return Broadcast(honest_payload)
         wrong = _flip(honest_payload, len(honest_payload) - 1)
@@ -145,7 +145,7 @@ class DetectionLiar(Strategy):
     def corrupt_set(self) -> frozenset[int]:
         return frozenset({self.config.n})
 
-    def act(self, ctx, honest_payload, rng):
+    def act(self, ctx, honest_payload):
         if ctx.tag == "eig.source" and ctx.extra.get("purpose") == "dd":
             last = ctx.receivers[-1]
             return Selective({r: ("0" if r == last else "1") for r in ctx.receivers})
@@ -161,7 +161,7 @@ class ClaimLiar(Strategy):
     def corrupt_set(self) -> frozenset[int]:
         return frozenset({self.config.n})
 
-    def act(self, ctx, honest_payload, rng):
+    def act(self, ctx, honest_payload):
         purpose = ctx.extra.get("purpose")
         if ctx.tag == "eig.source" and purpose == "dd":
             return Broadcast("1")
@@ -182,7 +182,7 @@ class RandomizedByzantine(Strategy):
         t = self.config.t
         return frozenset(self.rng.sample(range(1, self.config.n + 1), t)) if t else frozenset()
 
-    def act(self, ctx, honest_payload, rng):
+    def act(self, ctx, honest_payload):
         if not honest_payload:
             return Broadcast("")
         bits = len(honest_payload)

@@ -19,10 +19,11 @@ a fault-free broadcast is n-1 messages, is the view TrafficMeter.as_unicast.
 
 from __future__ import annotations
 
-import random as _random
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
+
+from .gf import DEFAULT_POLYNOMIALS
 
 
 class ModelViolation(Exception):
@@ -45,6 +46,8 @@ class SystemConfig:
     D: int = 0  # derived as c * (n - 2t) when left at 0
 
     def __post_init__(self):
+        if self.c not in DEFAULT_POLYNOMIALS:
+            raise ValueError(f"no pinned GF(2^c) polynomial for c={self.c}")
         if self.t < 0 or self.n < 3 * self.t + 1 or self.n < 2:
             raise ValueError("need n >= 3t + 1 (and n >= 2)")
         if self.n > (1 << self.c) - 1:
@@ -259,7 +262,6 @@ class Simulation:
             raise ValueError("strategy corrupts more than t nodes")
         self.meter = TrafficMeter()
         self.trace: list[TraceEntry] = []
-        self.rng = _random.Random(config.seed)
         self.round_no = 0
 
     def round(self, intents: Mapping[int, str], phase: str, tag: str, extra: Optional[dict] = None) -> dict[int, dict[int, str]]:
@@ -282,7 +284,7 @@ class Simulation:
                     extra=extra or {},
                     honest_round=honest_view,
                 )
-                txs[s] = self.strategy.act(ctx, intents[s], self.rng)
+                txs[s] = self.strategy.act(ctx, intents[s])
             else:
                 txs[s] = Broadcast(intents[s])
 

@@ -203,8 +203,6 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
     disputes = DisputeGraph(t)
     nodes = tuple(config.nodes)
     generations: list[GenerationRecord] = []
-    parts: dict[int, list[str]] = {i: [] for i in config.peers}
-    dc_invocations = 0
 
     for g in range(1, config.L // D + 1):
         x_bits = x[(g - 1) * D : g * D]
@@ -218,7 +216,6 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
             rec.skipped = True
             for i in config.peers:
                 rec.y_bits[i] = "0" * D
-                parts[i].append("0" * D)
             continue
 
         # --- Detectable Broadcast -------------------------------------
@@ -260,16 +257,10 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
 
         if not any(rec.announced.values()):
             for i in config.peers:
-                if i in excluded:
-                    y = "0" * D
-                else:
-                    y = symbols_to_bits(rec.z[i], c)
-                rec.y_bits[i] = y
-                parts[i].append(y)
+                rec.y_bits[i] = "0" * D if i in excluded else symbols_to_bits(rec.z[i], c)
             continue
 
         # --- Dispute Control ------------------------------------------
-        dc_invocations += 1
         rec.dc_invoked = True
 
         res = eig_broadcast(sim, 1, x_bits, D, nodes, t, "DC", "dc_value", skip=excluded)
@@ -300,9 +291,12 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
 
         for i in config.peers:
             rec.y_bits[i] = x_common_bits
-            parts[i].append(x_common_bits)
 
-    outputs = {i: "".join(parts[i]) for i in config.peers if i not in sim.faulty}
+    outputs = {
+        i: "".join(rec.y_bits[i] for rec in generations)
+        for i in config.peers
+        if i not in sim.faulty
+    }
     return BbOutcome(
         config=config,
         outputs=outputs,
@@ -310,6 +304,6 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
         disputes=disputes,
         trace=sim.trace,
         generations=generations,
-        dc_invocations=dc_invocations,
+        dc_invocations=sum(rec.dc_invoked for rec in generations),
         faulty=sim.faulty,
     )

@@ -1,15 +1,16 @@
-"""Arithmetic in GF(2^c) for small, configurable symbol widths.
+"""Arithmetic in GF(2^c) for the symbol widths c = 1..8.
 
 Elements are plain ints in [0, 2^c).  Addition is XOR; multiplication is
-carry-less polynomial multiplication reduced modulo a fixed irreducible
-polynomial.  Fields here are desk-scale (c <= 8 in practice), so a simple
-shift-and-xor multiply is used instead of log/exp tables.
+carry-less polynomial multiplication reduced modulo the pinned polynomial
+of degree c.  Every pinned polynomial is primitive, so x generates the
+multiplicative group: the field is built once as the table of the powers
+of x (exp) and its inverse map (log), and mul, pow and inv are lookups.
 """
 
 from __future__ import annotations
 
-# Fixed reduction polynomials per width, as bit patterns (degree-c term
-# included).  Pinned so codewords are reproducible across runs.
+# Pinned primitive reduction polynomials per width, as bit patterns
+# (degree-c term included), so codewords are reproducible across runs.
 DEFAULT_POLYNOMIALS = {
     1: 0b11,          # x + 1
     2: 0b111,         # x^2 + x + 1
@@ -22,44 +23,26 @@ DEFAULT_POLYNOMIALS = {
 }
 
 
-def _polymod2(a: int, b: int) -> int:
-    """Remainder of carry-less division of a by b over GF(2)."""
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a
-
-
-def is_irreducible(poly: int, c: int) -> bool:
-    """Trial division by every GF(2) polynomial of degree 1..c//2."""
-    if poly.bit_length() != c + 1:
-        return False
-    for d in range(1, c // 2 + 1):
-        for low in range(1 << d):
-            divisor = (1 << d) | low
-            if _polymod2(poly, divisor) == 0:
-                return False
-    return True
-
-
 class GF:
-    """GF(2^c) with a fixed reduction polynomial and generator."""
+    """GF(2^c) over the pinned primitive polynomial, with generator x."""
 
-    def __init__(self, c: int, polynomial: int | None = None):
-        if c < 1:
-            raise ValueError("field width must be positive")
-        if polynomial is None:
-            try:
-                polynomial = DEFAULT_POLYNOMIALS[c]
-            except KeyError:
-                raise ValueError(f"no default polynomial for c={c}") from None
-        if not is_irreducible(polynomial, c):
-            raise ValueError(f"0b{polynomial:b} is not irreducible of degree {c}")
+    def __init__(self, c: int):
+        if c not in DEFAULT_POLYNOMIALS:
+            raise ValueError(f"no pinned polynomial for c={c}; need 1 <= c <= 8")
         self.c = c
-        self.polynomial = polynomial
+        self.polynomial = DEFAULT_POLYNOMIALS[c]
         self.size = 1 << c
         self.order = self.size - 1  # size of the multiplicative group
-        self.generator = self._find_generator()
+        self.generator = 2 if c > 1 else 1  # x, which is 1 modulo x + 1
+        exp = [1]
+        for _ in range(self.order - 1):
+            a = exp[-1] << 1  # times x, reduced
+            exp.append(a ^ self.polynomial if a & self.size else a)
+        self.log = [0] * self.size
+        for k, a in enumerate(exp):
+            self.log[a] = k
+        # Stored twice over, so a sum of two logs needs no reduction.
+        self.exp = exp + exp
 
     def _check(self, *xs: int) -> None:
         for x in xs:
@@ -72,57 +55,21 @@ class GF:
 
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
-        result = 0
-        while b:
-            if b & 1:
-                result ^= a
-            b >>= 1
-            a <<= 1
-            if a & self.size:
-                a ^= self.polynomial
-        return result
+        if a == 0 or b == 0:
+            return 0
+        return self.exp[self.log[a] + self.log[b]]
 
     def pow(self, a: int, k: int) -> int:
         self._check(a)
-        result = 1
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        if a == 0:
+            return 1 if k == 0 else 0
+        return self.exp[self.log[a] * k % self.order]
 
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.pow(a, self.order - 1)
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 is not in the multiplicative group")
-        x, k = a, 1
-        while x != 1:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
-    def _find_generator(self) -> int:
-        for g in range(2, self.size):
-            if self.element_order(g) == self.order:
-                return g
-        return 1  # only for c == 1
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GF)
-            and other.c == self.c
-            and other.polynomial == self.polynomial
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.c, self.polynomial))
+        return self.exp[self.order - self.log[a]]
 
     def __repr__(self) -> str:
         return f"GF(2^{self.c}, poly=0b{self.polynomial:b})"

@@ -15,7 +15,7 @@ import random as _random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .adversaries import make_strategy
+from .adversaries import STRATEGY_REGISTRY, make_strategy
 from .bounds import (
     check_bounds,
     message_lower_bound,
@@ -47,6 +47,11 @@ class Scenario:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.strategy not in STRATEGY_REGISTRY:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.input_bits is not None and len(self.input_bits) != self.L:
+            raise ValueError("scenario input must be exactly L bits")
+        SystemConfig(n=self.n, t=self.t, c=self.c, L=self.L)  # validates the point
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
@@ -109,8 +114,6 @@ class MetricsRecord:
 
 def scenario_input(scenario: Scenario, seed: int) -> str:
     if scenario.input_bits is not None:
-        if len(scenario.input_bits) != scenario.L:
-            raise ValueError("scenario input must be exactly L bits")
         return scenario.input_bits
     rng = _random.Random(seed ^ 0x5EB0ADCA57)
     return "".join("01"[rng.getrandbits(1)] for _ in range(scenario.L))
@@ -173,8 +176,9 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> list[MetricsRecord]:
 
 
 def sweep(grid: dict, jobs: int = 1) -> tuple[list[MetricsRecord], list[str]]:
-    """Cartesian product over grid axes; invalid points are reported and
-    skipped rather than aborting the sweep."""
+    """Cartesian product over grid axes.  Points that do not make a valid
+    Scenario are reported and skipped; an exception raised while running
+    a valid point propagates."""
     axes = {}
     for key in ("n", "t", "c", "L", "algorithm", "strategy", "repetitions", "seeds"):
         if key in grid:
@@ -190,9 +194,10 @@ def sweep(grid: dict, jobs: int = 1) -> tuple[list[MetricsRecord], list[str]]:
             if point.get("t") == "max":
                 point["t"] = (point["n"] - 1) // 3
             scenario = Scenario.from_dict(point)
-            records.extend(run_scenario(scenario, jobs=jobs))
         except (ValueError, KeyError) as exc:
             errors.append(f"{point}: {exc}")
+            continue
+        records.extend(run_scenario(scenario, jobs=jobs))
     return records, errors
 
 

@@ -3,10 +3,11 @@
 A data block is a tuple of n-2t field symbols, read as the coefficients
 (low degree first) of a polynomial of degree < n-2t.  The codeword is the
 evaluation of that polynomial at the n points a^0, a^1, ..., a^(n-1),
-where a is the field's fixed generator.  Because two distinct codewords
-agree on at most n-2t-1 positions, any view with at least n-2t non-null
-symbols determines at most one consistent codeword, which is what the
-consistency check exploits.
+where a is the field's generator x (the int 2; 1 when c = 1), read from
+the field's power table.  Because two distinct codewords agree on at most
+n-2t-1 positions, any view with at least n-2t non-null symbols determines
+at most one consistent codeword, which is what the consistency check
+exploits.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ class RSCode:
         if n > field.order:
             raise ValueError(f"n={n} exceeds 2^c - 1 = {field.order}")
         self.n = n
-        self.t = t
         self.k = k
         self.field = field
         g = field.generator
@@ -83,28 +83,20 @@ class RSCode:
         k = len(xs)
         coeffs = [0] * k
         for i in range(k):
-            # basis polynomial prod_{j != i} (X + xs[j]) / (xs[i] + xs[j])
+            # basis polynomial prod_{j != i} (X + xs[j]) / (xs[i] + xs[j]),
+            # coefficients low degree first
             num = [1]
             denom = 1
             for j in range(k):
                 if j == i:
                     continue
-                num = self._polymul(num, [xs[j], 1])
+                # num *= X + xs[j]: coefficient d becomes num[d]*xs[j] + num[d-1]
+                num = [f.mul(a, xs[j]) ^ b for a, b in zip(num + [0], [0] + num)]
                 denom = f.mul(denom, f.add(xs[i], xs[j]))
             scale = f.mul(ys[i], f.inv(denom))
             for d, cf in enumerate(num):
                 coeffs[d] ^= f.mul(cf, scale)
         return tuple(coeffs)
-
-    def _polymul(self, a: list[int], b: list[int]) -> list[int]:
-        f = self.field
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] ^= f.mul(ai, bj)
-        return out
 
     def consistency_check(self, view: PartialView) -> Optional[tuple[int, ...]]:
         """Return the unique consistent data block, or None on inconsistency.

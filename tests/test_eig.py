@@ -22,7 +22,7 @@ class SplitSource(Strategy):
     def corrupt_set(self):
         return frozenset({1})
 
-    def act(self, ctx, honest_payload, rng):
+    def act(self, ctx, honest_payload):
         if ctx.tag == "eig.source":
             first = ctx.receivers[0]
             return Selective({r: ("0" if r == first else "1") for r in ctx.receivers})
@@ -37,7 +37,7 @@ class CollusionPair(Strategy):
     def corrupt_set(self):
         return frozenset({1, self.config.n})
 
-    def act(self, ctx, honest_payload, rng):
+    def act(self, ctx, honest_payload):
         if ctx.sender == 1 and ctx.tag == "eig.source":
             half = len(ctx.receivers) // 2
             return Selective(
@@ -123,7 +123,7 @@ class RelayFuzzer(Strategy):
     def corrupt_set(self):
         return self.params["corrupt"]
 
-    def act(self, ctx, honest_payload, rng):
+    def act(self, ctx, honest_payload):
         rnd, size = self.rng, len(honest_payload)
         out = {}
         for r in ctx.receivers:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from selbroadcast.gf import DEFAULT_POLYNOMIALS, GF, is_irreducible
+from selbroadcast.gf import DEFAULT_POLYNOMIALS, GF
 
 
 @pytest.fixture(scope="module")
@@ -68,17 +68,52 @@ def test_field_laws_gf256(a, b, d):
     assert f.mul(a, f.add(b, d)) == f.add(f.mul(a, b), f.mul(a, d))
 
 
+def shift_xor_mul(a: int, b: int, c: int) -> int:
+    """Carry-less product of a and b reduced bit by bit: the reference
+    the table multiply must equal."""
+    poly, size = DEFAULT_POLYNOMIALS[c], 1 << c
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        b >>= 1
+        a <<= 1
+        if a & size:
+            a ^= poly
+    return result
+
+
+@pytest.mark.parametrize("c", sorted(DEFAULT_POLYNOMIALS))
+def test_mul_matches_shift_and_xor_exhaustive(c):
+    f = GF(c)
+    for a, b in itertools.product(range(f.size), repeat=2):
+        assert f.mul(a, b) == shift_xor_mul(a, b, c), (a, b)
+
+
 @pytest.mark.parametrize("c", sorted(DEFAULT_POLYNOMIALS))
 def test_default_polynomials_are_irreducible(c):
-    assert is_irreducible(DEFAULT_POLYNOMIALS[c], c)
+    # Modulo a reducible polynomial two non-zero residues multiply to 0.
+    nonzero = range(1, 1 << c)
+    assert all(shift_xor_mul(a, b, c) for a in nonzero for b in nonzero)
 
 
-@pytest.mark.parametrize("c", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("c", sorted(DEFAULT_POLYNOMIALS))
 def test_multiplicative_group_is_cyclic(c):
+    # Repeated multiplication by the generator visits all 2^c - 1 non-zero
+    # elements before it returns to 1, so the pinned polynomial is
+    # primitive, and pow(generator, k) is the k-th element of that walk.
     f = GF(c)
-    assert f.element_order(f.generator) == f.order
+    powers, x = [], 1
+    while True:
+        powers.append(x)
+        x = f.mul(x, f.generator)
+        if x == 1:
+            break
+    assert sorted(powers) == list(range(1, f.size))
+    assert [f.pow(f.generator, k) for k in range(f.order)] == powers
 
 
-def test_reducible_polynomial_rejected():
+@pytest.mark.parametrize("c", [0, 9])
+def test_width_without_pinned_polynomial_rejected(c):
     with pytest.raises(ValueError):
-        GF(3, polynomial=0b1111)  # x^3+x^2+x+1 = (x+1)(x^2+1)
+        GF(c)

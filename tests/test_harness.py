@@ -1,6 +1,7 @@
 """Scenario runner and command-line interface: record contents, sweeps,
 CSV/trace determinism, and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from selbroadcast import (
     write_csv,
     write_trace,
 )
+from selbroadcast import harness
 from selbroadcast.channel import TraceEntry
 from selbroadcast.cli import main
 
@@ -41,6 +43,17 @@ def test_scenario_validation():
         Scenario(n=4, t=1, c=3, L=12, algorithm="algorithm3")
     with pytest.raises(ValueError):
         Scenario(n=4, t=1, c=3, L=12, repetitions=0)
+    # An invalid point is rejected when the Scenario is built, before
+    # anything runs.
+    for bad in (
+        {"c": 9, "L": 18},              # no pinned GF(2^9) polynomial
+        {"n": 8},                       # n > 2^c - 1
+        {"L": 13},                      # not a multiple of D
+        {"strategy": "no_such_strategy"},
+        {"input_bits": "0101"},         # not L bits
+    ):
+        with pytest.raises(ValueError):
+            Scenario(**{"n": 4, "t": 1, "c": 3, "L": 12, **bad})
 
 
 def test_honest_run_record():
@@ -93,6 +106,18 @@ def test_sweep_grid_with_max_t_and_skipped_points():
     records, errors = sweep(grid)
     assert [r.row["n"] for r in records] == [4]
     assert len(errors) == 1 and "8" in errors[0]
+
+
+def test_sweep_does_not_skip_a_run_that_raises(monkeypatch):
+    # Only a point that fails validation is skipped; a ValueError from
+    # inside a protocol run must not be reported as a skipped point.
+    def broken(x, config, strategy):
+        raise ValueError("raised inside the run")
+
+    monkeypatch.setattr(harness, "run_byzantine_broadcast", broken)
+    grid = {"n": [4], "t": [1], "c": [3], "L": ["1D"], "strategy": ["honest"]}
+    with pytest.raises(ValueError, match="inside the run"):
+        sweep(grid)
 
 
 def test_csv_and_trace_determinism(tmp_path):
@@ -223,3 +248,28 @@ def test_cli_replay_rejects_trace_without_message_counts(tmp_path, capsys):
     path.write_text("\n".join(lines[:1] + old) + "\n")
     assert main(["replay", str(path)]) != 0
     assert f"{path}:2:" in capsys.readouterr().err
+
+
+# sha256 over the acceptance corpus below: the CSV of every record, then
+# each record's JSONL trace and its outputs as sorted JSON, in corpus
+# order.  A change that alters outputs or traces on purpose updates this
+# digest and says so in CHANGES.md.
+CORPUS_DIGEST = "b0762d5b5bfac76ac962c6ff7e1ac537006703d37e8757182d11a363f94652f9"
+
+
+def test_acceptance_corpus_bytes_are_pinned(tmp_path):
+    records = []
+    for n, t, c, L in ((4, 1, 3, 12), (7, 2, 3, 18)):
+        for algorithm in ("dispute_bb", "algo2"):
+            for name in sorted(STRATEGY_REGISTRY):
+                records.extend(run_scenario(Scenario(
+                    n=n, t=t, c=c, L=L, algorithm=algorithm, strategy=name, repetitions=5)))
+    digest = hashlib.sha256()
+    path = tmp_path / "out"
+    write_csv(records, path)
+    digest.update(path.read_bytes())
+    for record in records:
+        write_trace(record, path)
+        digest.update(path.read_bytes())
+        digest.update(json.dumps(record.outcome.outputs, sort_keys=True).encode())
+    assert digest.hexdigest() == CORPUS_DIGEST
