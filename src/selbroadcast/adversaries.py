@@ -3,11 +3,11 @@
 A strategy owns a fixed set of at most t compromised nodes for the whole
 execution.  The engine computes, for every scheduled sender, the payload
 it would transmit when following the protocol; for compromised senders
-that payload is handed to the strategy together with a slot context (and
-the fault-free transmissions of the current round, i.e. the adversary is
-rushing), and the strategy returns the actual transmission.  The default
-is to behave honestly, so each strategy only overrides the slots it
-attacks.
+that payload is handed to the strategy together with a SlotCtx (which
+holds the fault-free transmissions of the current round, i.e. the
+adversary is rushing), and the strategy returns the actual transmission.
+The default is to behave honestly, so each strategy only overrides the
+slots it attacks.
 
 Slot tags used by the protocols:
   "source_value"  the source's value slot (the opening broadcast of both
@@ -31,11 +31,13 @@ from .channel import Broadcast, Selective, SystemConfig, Transmission
 
 @dataclass(frozen=True)
 class SlotCtx:
-    phase: str
+    """What a strategy sees of one compromised slot: its tag (below), the
+    sender, every other node as a receiver, the round's `extra` (EIG slots
+    carry {"purpose": ...}) and the fault-free intents of the round, keyed
+    by sender (the rushing view)."""
+
     tag: str
     sender: int
-    round_no: int
-    config: SystemConfig
     receivers: tuple[int, ...]
     extra: Mapping
     honest_round: Mapping[int, str]
@@ -86,10 +88,7 @@ class EquivocatingSource(Strategy):
     """The source sends block u to all but one receiver and v != u to the
     remaining one, rotating the victim across its value slots (a victim
     already in dispute with the source stays silent, so re-targeting it
-    would equivocate into the void).
-
-    v defaults to u with its first bit flipped; pass v_bits to override
-    (applied when the length matches the slot payload).
+    would equivocate into the void).  v is u with its first bit flipped.
     """
 
     name = "equivocating_source"
@@ -104,9 +103,7 @@ class EquivocatingSource(Strategy):
     def act(self, ctx, honest_payload):
         if ctx.tag != "source_value" or not honest_payload:
             return Broadcast(honest_payload)
-        v = self.params.get("v_bits")
-        if not isinstance(v, str) or len(v) != len(honest_payload):
-            v = _flip(honest_payload)
+        v = _flip(honest_payload)
         victim = ctx.receivers[self._slot % len(ctx.receivers)]
         self._slot += 1
         return Selective({r: (v if r == victim else honest_payload) for r in ctx.receivers})

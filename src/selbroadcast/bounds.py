@@ -89,11 +89,11 @@ class BoundsReport:
     static_bound_met: bool  # reported, not asserted, for non-static algorithms
 
 
-def check_bounds(outcome: BbOutcome, algorithm: str, honest_run: bool) -> BoundsReport:
+def check_bounds(outcome: BbOutcome, algorithm: str) -> BoundsReport:
     cfg = outcome.config
     meter = outcome.meter
     exact = None
-    if algorithm == "dispute_bb" and honest_run:
+    if algorithm == "dispute_bb" and not outcome.faulty:
         exact = meter.phase_honest_bits("DB") == total_bb_cost_bits(cfg.n, cfg.t, cfg.L)
     return BoundsReport(
         db_bits_exact=exact,

@@ -11,16 +11,18 @@ Traffic by fault-free nodes and traffic by compromised nodes are metered
 separately: reported algorithm complexity covers only nodes following the
 protocol.  One broadcast is one message with its payload bits counted
 once; a selective transmission costs one message per distinct receiver.
-Simulation.round meters each delivered slot once, into its TraceEntry and
-the TrafficMeter alike, so folding a trace (TrafficMeter.from_trace)
-reproduces the meter.  The point-to-point cost of the same execution, where
-a fault-free broadcast is n-1 messages, is the view TrafficMeter.as_unicast.
+Simulation.round meters each delivered slot once, into its TraceEntry; the
+trace is the only ledger, and a TrafficMeter is a fold of it
+(TrafficMeter.from_trace, which BbOutcome.meter holds).  The point-to-point
+cost of the same execution, where a fault-free broadcast is n-1 messages,
+is the view TrafficMeter.as_unicast.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .gf import DEFAULT_POLYNOMIALS
@@ -218,29 +220,22 @@ class TraceEntry:
 
 def channel_deliver(
     sender: int, tx: Transmission, n: int, faulty: frozenset[int]
-) -> dict[int, tuple[int, str]]:
+) -> dict[int, str]:
     """Deliver one slot transmission to every other node.
 
-    Returns {receiver: (sender, payload)} for the receivers that got a
-    non-empty payload.  Raises ModelViolation if a fault-free sender
-    attempts a selective transmission.
+    Returns {receiver: payload} for the receivers that got a non-empty
+    payload.  Raises ModelViolation if a fault-free sender attempts a
+    selective transmission.
     """
-    delivered: dict[int, tuple[int, str]] = {}
     if isinstance(tx, Broadcast):
-        if tx.payload:
-            for r in range(1, n + 1):
-                if r != sender:
-                    delivered[r] = (sender, tx.payload)
-    elif isinstance(tx, Selective):
+        if not tx.payload:
+            return {}
+        return {r: tx.payload for r in range(1, n + 1) if r != sender}
+    if isinstance(tx, Selective):
         if sender not in faulty:
             raise ModelViolation(f"fault-free node {sender} attempted selective send")
-        for r in sorted(tx.payloads):
-            p = tx.payloads[r]
-            if r != sender and p:
-                delivered[r] = (sender, p)
-    else:
-        raise TypeError(f"unknown transmission {tx!r}")
-    return delivered
+        return {r: tx.payloads[r] for r in sorted(tx.payloads) if r != sender and tx.payloads[r]}
+    raise TypeError(f"unknown transmission {tx!r}")
 
 
 class Simulation:
@@ -260,7 +255,6 @@ class Simulation:
         self.faulty = frozenset(strategy.corrupt_set())
         if len(self.faulty) > config.t:
             raise ValueError("strategy corrupts more than t nodes")
-        self.meter = TrafficMeter()
         self.trace: list[TraceEntry] = []
         self.round_no = 0
 
@@ -269,43 +263,36 @@ class Simulation:
         from .adversaries import SlotCtx  # local import to avoid a cycle
 
         self.round_no += 1
+        nodes = self.config.nodes
         senders = sorted(intents)
         honest_view = {s: intents[s] for s in senders if s not in self.faulty}
-        txs: dict[int, Transmission] = {}
-        for s in senders:
-            if s in self.faulty:
+        inboxes: dict[int, dict[int, str]] = {i: {} for i in nodes}
+        for slot, s in enumerate(senders, start=1):
+            honest = s not in self.faulty
+            if honest:
+                tx = Broadcast(intents[s])
+            else:
                 ctx = SlotCtx(
-                    phase=phase,
                     tag=tag,
                     sender=s,
-                    round_no=self.round_no,
-                    config=self.config,
-                    receivers=tuple(r for r in self.config.nodes if r != s),
+                    receivers=tuple(r for r in nodes if r != s),
                     extra=extra or {},
                     honest_round=honest_view,
                 )
-                txs[s] = self.strategy.act(ctx, intents[s])
-            else:
-                txs[s] = Broadcast(intents[s])
-
-        inboxes: dict[int, dict[int, str]] = {i: {} for i in self.config.nodes}
-        for slot, s in enumerate(senders, start=1):
-            tx = txs[s]
+                tx = self.strategy.act(ctx, intents[s])
             delivered = channel_deliver(s, tx, self.config.n, self.faulty)
             if not delivered:
                 continue
-            honest = s not in self.faulty
             if isinstance(tx, Broadcast):
                 kind, messages, bits = "broadcast", 1, len(tx.payload)
             else:
                 kind, messages = "selective", len(delivered)
-                bits = sum(len(p) for _, p in delivered.values())
+                bits = sum(map(len, delivered.values()))
             self.trace.append(
                 TraceEntry(self.round_no, slot, s, kind, bits, phase, honest, messages)
             )
-            self.meter.add(honest, phase, messages, bits)
-            for r, (snd, payload) in delivered.items():
-                inboxes[r][snd] = payload
+            for r, payload in delivered.items():
+                inboxes[r][s] = payload
         return inboxes
 
 
@@ -315,12 +302,19 @@ class BbOutcome:
 
     config: SystemConfig
     outputs: dict[int, str]  # fault-free peer -> L-bit output
-    meter: TrafficMeter
-    disputes: DisputeGraph
     trace: list[TraceEntry]
-    generations: list
-    dc_invocations: int
     faulty: frozenset[int]
+    disputes: Optional[DisputeGraph] = None  # dispute_bb only
+    generations: list = field(default_factory=list)  # dispute_bb only
+
+    @cached_property
+    def meter(self) -> TrafficMeter:
+        """The trace folded once; every read returns the same meter."""
+        return TrafficMeter.from_trace(self.trace)
+
+    @property
+    def dc_invocations(self) -> int:
+        return sum(rec.dc_invoked for rec in self.generations)
 
 
 @dataclass(frozen=True)
@@ -336,9 +330,9 @@ class Verdict:
         return "Pass" if self.passed else f"Fail({self.reason})"
 
 
-def check_bb_properties(outcome: BbOutcome, x: str, faulty: frozenset[int]) -> Verdict:
+def check_bb_properties(outcome: BbOutcome, x: str) -> Verdict:
     """Termination, consistency and validity over the fault-free peers."""
-    n = outcome.config.n
+    n, faulty = outcome.config.n, outcome.faulty
     peers = [p for p in outcome.outputs if p not in faulty]
     expected = [p for p in range(2, n + 1) if p not in faulty]
     missing = [p for p in expected if p not in outcome.outputs or outcome.outputs[p] is None]

@@ -11,7 +11,7 @@ The consensus core has every active node EIG-broadcast its received
 value inside the committee and decides by plurality over the agreed
 vector (ties broken toward the smallest value).  Every step in which a
 fault-free node would send identical messages to several receivers is a
-single channel broadcast; `meter.as_unicast(n, {"CORE"})` gives the
+single channel broadcast; `outcome.meter.as_unicast(n, {"CORE"})` gives the
 point-to-point cost of the same core.
 """
 
@@ -24,7 +24,6 @@ from typing import Sequence
 from .adversaries import Strategy
 from .channel import (
     BbOutcome,
-    DisputeGraph,
     ModelViolation,
     ProtocolError,
     Simulation,
@@ -67,13 +66,10 @@ def _plurality(values: Sequence[str]) -> str:
     return min(v for v, cnt in counts.items() if cnt == best)
 
 
-def eig_core(sim: Simulation, layout: CommitteeLayout, received: dict[int, str], value_len: int, t: int) -> dict[int, str]:
+def eig_core(sim: Simulation, layout: CommitteeLayout, received: dict[int, str]) -> dict[int, str]:
     """Consensus core: one EIG instance per active node over its received
     value; decide the plurality of the agreed vector."""
-    results = [
-        eig_broadcast(sim, s, received[s], value_len, layout.active, t, "CORE", "core")
-        for s in layout.active
-    ]
+    results = [eig_broadcast(sim, s, received[s], layout.active, "CORE", "core") for s in layout.active]
     return {i: _plurality([res[i] for res in results]) for i in layout.active}
 
 
@@ -94,7 +90,7 @@ def run_algorithm2(x: str, config: SystemConfig, strategy: Strategy) -> BbOutcom
             p = inbox[i].get(1, "")
             received[i] = p if len(p) == L else "0" * L
 
-    decisions = eig_core(sim, layout, received, L, config.t)
+    decisions = eig_core(sim, layout, received)
     fault_free_active = [i for i in layout.active if i not in sim.faulty]
     if len({decisions[i] for i in fault_free_active}) != 1:
         raise ProtocolError("fault-free active nodes decided differently")
@@ -115,13 +111,4 @@ def run_algorithm2(x: str, config: SystemConfig, strategy: Strategy) -> BbOutcom
                 votes.append(p if len(p) == L else "0" * L)
             outputs[i] = majority_vote(votes, config.t)
 
-    return BbOutcome(
-        config=config,
-        outputs=outputs,
-        meter=sim.meter,
-        disputes=DisputeGraph(config.t),
-        trace=sim.trace,
-        generations=[],
-        dc_invocations=0,
-        faulty=sim.faulty,
-    )
+    return BbOutcome(config=config, outputs=outputs, trace=sim.trace, faulty=sim.faulty)

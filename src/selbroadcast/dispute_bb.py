@@ -252,7 +252,7 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
                 rec.announced[i] = False
                 continue
             bit = "1" if rec.detected.get(i, False) else "0"
-            res = eig_broadcast(sim, i, bit, 1, nodes, t, "DD", "dd", skip=excluded)
+            res = eig_broadcast(sim, i, bit, nodes, "DD", "dd", skip=excluded)
             rec.announced[i] = _agreed(res, fault_free, f"detection broadcast of node {i}") == "1"
 
         if not any(rec.announced.values()):
@@ -263,15 +263,14 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
         # --- Dispute Control ------------------------------------------
         rec.dc_invoked = True
 
-        res = eig_broadcast(sim, 1, x_bits, D, nodes, t, "DC", "dc_value", skip=excluded)
+        res = eig_broadcast(sim, 1, x_bits, nodes, "DC", "dc_value", skip=excluded)
         x_common_bits = _agreed(res, fault_free, "dispute-control value broadcast")
         x_common = bits_to_symbols(x_common_bits, c)
 
-        claim_len = 1 + c * k + n * (1 + c)
         claims: dict[int, tuple[Optional[Block], list[Optional[int]]]] = {}
         for i in active_peers:
             payload = serialize_claim(blocks[i], views[i], c, k)
-            res = eig_broadcast(sim, i, payload, claim_len, nodes, t, "DC", "dc_claim", skip=excluded)
+            res = eig_broadcast(sim, i, payload, nodes, "DC", "dc_claim", skip=excluded)
             claims[i] = parse_claim(_agreed(res, fault_free, f"claim broadcast of peer {i}"), n, c, k)
 
         new_pairs = derive_disputes(code, x_common, claims, disputes, excluded)
@@ -297,13 +296,4 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
         for i in config.peers
         if i not in sim.faulty
     }
-    return BbOutcome(
-        config=config,
-        outputs=outputs,
-        meter=sim.meter,
-        disputes=disputes,
-        trace=sim.trace,
-        generations=generations,
-        dc_invocations=sum(rec.dc_invoked for rec in generations),
-        faulty=sim.faulty,
-    )
+    return BbOutcome(config, outputs, sim.trace, sim.faulty, disputes, generations)

@@ -63,30 +63,31 @@ def eig_broadcast(
     sim: Simulation,
     source: int,
     value: str,
-    value_len: int,
     participants: Sequence[int],
-    faults: int,
     phase: str,
     purpose: str,
     skip: frozenset[int] = frozenset(),
 ) -> dict[int, str]:
-    """Run one EIG instance; returns each participant's resolved output.
+    """Run one EIG instance of `value` against sim.config.t faults; returns
+    each participant's resolved output.  A received value counts only at
+    len(value) bits.
 
     `skip` holds nodes excluded from transmitting (already identified as
     faulty); their tree positions resolve to the default.
     """
+    value_len, faults = len(value), sim.config.t
     participants = tuple(sorted(participants))
     if source not in participants:
         raise ValueError("source must participate")
     if len(participants) < 3 * faults + 1:
         raise ValueError("need at least 3t+1 participants")
     m = len(participants)
-    extra = {"purpose": purpose, "eig_source": source, "value_len": value_len}
+    extra = {"purpose": purpose}
 
     intents = {} if source in skip else {source: value}
     inbox = sim.round(intents, phase, "eig.source", extra)
     held = {j: [_canon(inbox[j].get(source), value_len)] for j in participants}
-    held[source] = [value if len(value) == value_len else None]
+    held[source] = [value]
 
     level = [(source,)]
     for _ in range(faults):

@@ -128,9 +128,8 @@ def run_repetition(scenario: Scenario, rep: int) -> MetricsRecord:
         outcome = run_byzantine_broadcast(x, config, strategy)
     else:
         outcome = run_algorithm2(x, config, strategy)
-    verdict = check_bb_properties(outcome, x, outcome.faulty)
-    honest_run = not outcome.faulty
-    report = check_bounds(outcome, scenario.algorithm, honest_run)
+    verdict = check_bb_properties(outcome, x)
+    report = check_bounds(outcome, scenario.algorithm)
     meter = outcome.meter
     row = {
         "n": config.n,

@@ -35,23 +35,25 @@ def _sim(strategy_name="honest"):
 
 def test_broadcast_delivery_and_accounting():
     delivered = channel_deliver(2, Broadcast("101101"), 4, frozenset())
-    assert delivered == {1: (2, "101101"), 3: (2, "101101"), 4: (2, "101101")}
+    assert delivered == {1: "101101", 3: "101101", 4: "101101"}
     sim = _sim()
     sim.round({2: "101101"}, "DB", "alg1.symbol")
-    assert sim.meter.honest_messages == 1
-    assert sim.meter.honest_bits == 6
-    assert sim.meter.adversary_messages == 0
+    meter = TrafficMeter.from_trace(sim.trace)
+    assert meter.honest_messages == 1
+    assert meter.honest_bits == 6
+    assert meter.adversary_messages == 0
     assert [(e.kind, e.messages, e.bits) for e in sim.trace] == [("broadcast", 1, 6)]
 
 
 def test_selective_delivery_from_faulty_sender():
     delivered = channel_deliver(1, Selective({2: "0", 3: "1", 4: "1"}), 4, frozenset({1}))
-    assert delivered == {2: (1, "0"), 3: (1, "1"), 4: (1, "1")}
+    assert delivered == {2: "0", 3: "1", 4: "1"}
     sim = _sim("equivocating_source")  # node 1 sends one receiver a flipped bit
     sim.round({1: "1"}, "DB", "source_value")
-    assert sim.meter.adversary_messages == 3
-    assert sim.meter.adversary_bits == 3
-    assert sim.meter.honest_messages == 0
+    meter = TrafficMeter.from_trace(sim.trace)
+    assert meter.adversary_messages == 3
+    assert meter.adversary_bits == 3
+    assert meter.honest_messages == 0
     assert [(e.kind, e.messages, e.bits) for e in sim.trace] == [("selective", 3, 3)]
 
 
@@ -59,8 +61,9 @@ def test_silence_is_free():
     assert channel_deliver(2, Broadcast(""), 4, frozenset()) == {}
     sim = _sim()
     sim.round({2: ""}, "DB", "alg1.symbol")
-    assert sim.meter.honest_messages == 0
-    assert sim.meter.honest_bits == 0
+    meter = TrafficMeter.from_trace(sim.trace)
+    assert meter.honest_messages == 0
+    assert meter.honest_bits == 0
     assert sim.trace == []
 
 
@@ -72,14 +75,15 @@ def test_fault_free_selective_is_a_model_violation():
 def test_unicast_metering():
     sim = _sim("equivocating_source")
     sim.round({1: "1", 2: "10"}, "CORE", "source_value")
-    unicast = sim.meter.as_unicast(4, {"CORE"})
+    meter = TrafficMeter.from_trace(sim.trace)
+    unicast = meter.as_unicast(4, {"CORE"})
     # the fault-free broadcast becomes n - 1 = 3 two-bit messages; the
     # faulty source's selective send was already counted per receiver
     assert unicast.honest_messages == 3
     assert unicast.honest_bits == 6
-    assert unicast.adversary_messages == sim.meter.adversary_messages == 3
-    assert unicast.adversary_bits == sim.meter.adversary_bits == 3
-    assert sim.meter.as_unicast(4, {"DB"}).honest_messages == 1
+    assert unicast.adversary_messages == meter.adversary_messages == 3
+    assert unicast.adversary_bits == meter.adversary_bits == 3
+    assert meter.as_unicast(4, {"DB"}).honest_messages == 1
 
 
 def test_dispute_graph_identification():
@@ -92,33 +96,33 @@ def test_dispute_graph_identification():
     assert g.identified_faulty == frozenset({4})  # degree 2 > t
 
 
-def _outcome(outputs, n=4):
-    cfg = SystemConfig(n=n, t=1, c=3, L=12)
-    return BbOutcome(cfg, outputs, TrafficMeter(), DisputeGraph(1), [], [], 0, frozenset())
+def _outcome(outputs, faulty=frozenset()):
+    cfg = SystemConfig(n=4, t=1, c=3, L=12)
+    return BbOutcome(cfg, outputs, [], frozenset(faulty))
 
 
 def test_bb_properties_pass():
     x = "0" * 12
     out = _outcome({2: x, 3: x, 4: x})
-    assert check_bb_properties(out, x, frozenset())
+    assert check_bb_properties(out, x)
 
 
 def test_bb_properties_validity_vacuous_with_faulty_source():
     v = "1" * 12
-    out = _outcome({2: v, 3: v, 4: v})
-    assert check_bb_properties(out, "0" * 12, frozenset({1}))
+    out = _outcome({2: v, 3: v, 4: v}, {1})
+    assert check_bb_properties(out, "0" * 12)
 
 
 def test_bb_properties_consistency_failure():
-    out = _outcome({2: "0" * 12, 3: "1" * 12, 4: "0" * 12})
-    verdict = check_bb_properties(out, "0" * 12, frozenset({1}))
+    out = _outcome({2: "0" * 12, 3: "1" * 12, 4: "0" * 12}, {1})
+    verdict = check_bb_properties(out, "0" * 12)
     assert not verdict
     assert verdict.reason == "Consistency"
 
 
 def test_bb_properties_termination_failure():
     out = _outcome({2: "0" * 12, 3: "0" * 12})
-    verdict = check_bb_properties(out, "0" * 12, frozenset())
+    verdict = check_bb_properties(out, "0" * 12)
     assert not verdict
     assert verdict.reason == "Termination"
     assert verdict.witnesses == (4,)
@@ -127,6 +131,6 @@ def test_bb_properties_termination_failure():
 def test_bb_properties_validity_failure():
     v = "1" * 12
     out = _outcome({2: v, 3: v, 4: v})
-    verdict = check_bb_properties(out, "0" * 12, frozenset())
+    verdict = check_bb_properties(out, "0" * 12)
     assert not verdict
     assert verdict.reason == "Validity"

@@ -49,7 +49,7 @@ def test_majority_vote_requires_quorum():
 def test_honest_run_message_count():
     # SRC: 1 broadcast; CORE: 4 EIG instances x (1 + 3 relays); ANN: 3.
     x, out = run(10, 1, 4, 32, "honest")
-    assert check_bb_properties(out, x, out.faulty)
+    assert check_bb_properties(out, x)
     assert out.meter.honest_messages == 20
     assert out.meter.by_phase["SRC"].honest_messages == 1
     assert out.meter.by_phase["CORE"].honest_messages == 16
@@ -87,7 +87,7 @@ def test_unicast_core_same_outputs_more_messages():
 def test_adversarial_runs_satisfy_broadcast_properties(strategy_name):
     for seed in range(10):
         x, out = run(10, 1, 4, 32, strategy_name, seed=seed)
-        assert check_bb_properties(out, x, out.faulty), strategy_name
+        assert check_bb_properties(out, x), strategy_name
 
 
 def test_messages_exceed_fault_budget():

@@ -138,7 +138,7 @@ def test_derive_no_pairs_from_consistent_claims(code):
 
 def test_honest_run_exact_cost():
     x, out = run(4, 1, 3, 12, "honest")
-    assert check_bb_properties(out, x, out.faulty)
+    assert check_bb_properties(out, x)
     assert out.meter.phase_honest_bits("DB") == 30  # 2 generations x 15
     assert out.dc_invocations == 0
     assert out.meter.adversary_bits == 0
@@ -154,7 +154,7 @@ def test_source_step_costs_d_bits():
 
 def test_equivocating_source_run():
     x, out = run(4, 1, 3, 12, "equivocating_source")
-    assert check_bb_properties(out, x, out.faulty)
+    assert check_bb_properties(out, x)
     assert 1 <= out.dc_invocations <= 2
     assert any(1 in pair for pair in out.disputes.pairs)
     # generation outputs equal the dispute-control by-product
@@ -171,14 +171,14 @@ def test_equivocation_detected_by_receiver_of_v():
 
 def test_symbol_corruptor_pairs_with_witness():
     x, out = run(4, 1, 3, 12, "symbol_corruptor")
-    assert check_bb_properties(out, x, out.faulty)
+    assert check_bb_properties(out, x)
     assert out.dc_invocations >= 1
     assert all(4 in pair for pair in out.disputes.pairs)
 
 
 def test_consistent_lie_detected_by_all_or_harmless():
     x, out = run(4, 1, 3, 12, "symbol_corruptor", mode="all")
-    assert check_bb_properties(out, x, out.faulty)
+    assert check_bb_properties(out, x)
     for g in out.generations:
         if g.skipped:
             continue
@@ -188,7 +188,7 @@ def test_consistent_lie_detected_by_all_or_harmless():
 
 def test_detection_liar_forces_dispute_control_then_exclusion():
     x, out = run(4, 1, 3, 12, "detection_liar")
-    assert check_bb_properties(out, x, out.faulty)
+    assert check_bb_properties(out, x)
     assert out.generations[0].dc_invoked
     assert out.generations[0].new_pairs == ()
     assert 4 in out.disputes.identified_faulty
@@ -197,7 +197,7 @@ def test_detection_liar_forces_dispute_control_then_exclusion():
 
 def test_claim_liar_paired_with_truthful_witness():
     x, out = run(4, 1, 3, 12, "claim_liar")
-    assert check_bb_properties(out, x, out.faulty)
+    assert check_bb_properties(out, x)
     assert any(4 in pair for pair in out.disputes.pairs)
 
 
@@ -205,7 +205,7 @@ def test_source_disqualification_defaults_remaining_generations():
     # Equivocating every generation: after at most t(t+1) = 2 dispute
     # phases the source exceeds t disputes and is excluded.
     x, out = run(4, 1, 3, 30, "equivocating_source", seed=3)
-    assert check_bb_properties(out, x, out.faulty)
+    assert check_bb_properties(out, x)
     assert out.dc_invocations <= 2
     assert 1 in out.disputes.identified_faulty
     assert any(g.skipped for g in out.generations)

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eig_reference
 from selbroadcast.adversaries import Broadcast, Selective, Strategy, make_strategy
-from selbroadcast.channel import Simulation, SystemConfig
+from selbroadcast.channel import Simulation, SystemConfig, TrafficMeter, check_bb_properties
+from selbroadcast.committee import run_algorithm2
+from selbroadcast.dispute_bb import run_byzantine_broadcast
 from selbroadcast.eig import eig_broadcast
 
 
@@ -55,14 +59,14 @@ class CollusionPair(Strategy):
 
 def test_honest_source_all_agree():
     sim = sim_for(4, 1, 3, 12)
-    out = eig_broadcast(sim, 1, "1", 1, range(1, 5), 1, "DD", "dd")
+    out = eig_broadcast(sim, 1, "1", range(1, 5), "DD", "dd")
     assert out == {1: "1", 2: "1", 3: "1", 4: "1"}
 
 
 def test_faulty_source_agreement():
     cfg = SystemConfig(n=4, t=1, c=3, L=12)
     sim = Simulation(cfg, SplitSource(cfg))
-    out = eig_broadcast(sim, 1, "1", 1, range(1, 5), 1, "DD", "dd")
+    out = eig_broadcast(sim, 1, "1", range(1, 5), "DD", "dd")
     # all fault-free outputs must be equal (validity is vacuous)
     assert out[2] == out[3] == out[4]
 
@@ -71,27 +75,27 @@ def test_collusion_agreement_many_seeds():
     for seed in range(100):
         cfg = SystemConfig(n=7, t=2, c=3, L=9, seed=seed)
         sim = Simulation(cfg, CollusionPair(cfg))
-        out = eig_broadcast(sim, 1, "101", 3, range(1, 8), 2, "DD", "dd")
+        out = eig_broadcast(sim, 1, "101", range(1, 8), "DD", "dd")
         values = {out[i] for i in range(2, 7)}  # nodes 2..6 are fault-free
         assert len(values) == 1, f"seed {seed}: {out}"
 
 
 def test_multibit_value_single_instance():
     sim = sim_for(7, 2, 3, 9)
-    out = eig_broadcast(sim, 3, "110011", 6, range(1, 8), 2, "DD", "dd")
+    out = eig_broadcast(sim, 3, "110011", range(1, 8), "DD", "dd")
     assert all(v == "110011" for v in out.values())
 
 
 def test_silent_source_resolves_to_default():
     cfg = SystemConfig(n=4, t=1, c=3, L=12)
     sim = Simulation(cfg, make_strategy("crash_silent", cfg))  # node 4 faulty
-    out = eig_broadcast(sim, 4, "1", 1, range(1, 5), 1, "DD", "dd")
+    out = eig_broadcast(sim, 4, "1", range(1, 5), "DD", "dd")
     assert out[1] == out[2] == out[3] == "0"
 
 
 def test_relay_rounds_are_single_broadcasts():
     sim = sim_for(4, 1, 3, 12)
-    eig_broadcast(sim, 1, "1", 1, range(1, 5), 1, "DD", "dd")
+    eig_broadcast(sim, 1, "1", range(1, 5), "DD", "dd")
     kinds = {e.kind for e in sim.trace}
     assert kinds == {"broadcast"}
     # round 1: source; round 2: the three peers relay once each
@@ -100,23 +104,24 @@ def test_relay_rounds_are_single_broadcasts():
 
 def test_unicast_mode_same_outputs_more_messages():
     sim = sim_for(4, 1, 3, 12)
-    eig_broadcast(sim, 1, "1", 1, range(1, 5), 1, "DD", "dd")
-    broadcast = sim.meter.honest_messages
+    eig_broadcast(sim, 1, "1", range(1, 5), "DD", "dd")
+    meter = TrafficMeter.from_trace(sim.trace)
+    broadcast = meter.honest_messages
     # point to point, each of the 4 broadcasts reaches its n - 1 = 3 receivers separately
-    assert sim.meter.as_unicast(4, {"DD"}).honest_messages == 3 * broadcast == 12
+    assert meter.as_unicast(4, {"DD"}).honest_messages == 3 * broadcast == 12
 
 
 def test_participant_count_validated():
     sim = sim_for(4, 1, 3, 12)
     with pytest.raises(ValueError):
-        eig_broadcast(sim, 1, "1", 1, [1, 2, 3], 1, "DD", "dd")
+        eig_broadcast(sim, 1, "1", [1, 2, 3], "DD", "dd")
 
 
 class RelayFuzzer(Strategy):
     """Corrupts `params["corrupt"]`; in every slot each receiver gets, at
     random, the honest payload, silence, a payload of the wrong length,
-    the honest payload with one bit flipped, or fresh bits of the honest
-    length (an equivocation)."""
+    the honest payload with one bit flipped (when it has a bit), or fresh
+    bits of the honest length (an equivocation)."""
 
     name = "relay_fuzzer"
 
@@ -135,7 +140,7 @@ class RelayFuzzer(Strategy):
             elif mode == 2:
                 length = rnd.choice([k for k in range(2 * size + 3) if k != size])
                 out[r] = "".join(rnd.choice("01") for _ in range(length))
-            elif mode == 3:
+            elif mode == 3 and size:
                 k = rnd.randrange(size)
                 out[r] = honest_payload[:k] + "10"[int(honest_payload[k])] + honest_payload[k + 1 :]
             else:
@@ -165,8 +170,36 @@ def test_flat_levels_match_label_keyed_reference(instance):
     n, t, L, source, value, value_len, corrupt, skip, seed = instance
     cfg = SystemConfig(n=n, t=t, c=3, L=L, seed=seed)
     runs = []
-    for broadcast in (eig_broadcast, eig_reference.eig_broadcast):
+    nodes = range(1, n + 1)
+    calls = (
+        lambda sim: eig_broadcast(sim, source, value, nodes, "DD", "dd", skip=skip),
+        lambda sim: eig_reference.eig_broadcast(sim, source, value, value_len, nodes, t, "DD", "dd", skip=skip),
+    )
+    for call in calls:
         sim = Simulation(cfg, RelayFuzzer(cfg, corrupt=corrupt, seed=seed))
-        out = broadcast(sim, source, value, value_len, range(1, n + 1), t, "DD", "dd", skip=skip)
+        out = call(sim)
         runs.append((out, [e.as_dict() for e in sim.trace]))
     assert runs[0] == runs[1]
+
+
+@st.composite
+def fuzzed_runs(draw):
+    n, t, c, L = draw(st.sampled_from([(4, 1, 3, 12), (7, 2, 3, 18)]))
+    run = draw(st.sampled_from([run_byzantine_broadcast, run_algorithm2]))
+    corrupt = draw(st.sets(st.integers(1, n), max_size=t))  # the source may be in it
+    seed = draw(st.integers(0, 2**16))
+    return SystemConfig(n=n, t=t, c=c, L=L, seed=seed), run, frozenset(corrupt), seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzzed_runs())
+def test_whole_run_under_relay_fuzzer_passes(case):
+    # Every slot of every corrupt node, in every phase of either
+    # algorithm, is fuzzed per receiver; the run must still terminate
+    # with a Pass verdict.
+    config, run, corrupt, seed = case
+    rng = random.Random(seed)
+    x = "".join(rng.choice("01") for _ in range(config.L))
+    outcome = run(x, config, RelayFuzzer(config, corrupt=corrupt, seed=seed))
+    verdict = check_bb_properties(outcome, x)
+    assert verdict, verdict
