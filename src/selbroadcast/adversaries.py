@@ -43,6 +43,20 @@ class SlotCtx:
     honest_round: Mapping[int, str]
 
 
+# Byte b -> "1" iff its top bit is set.
+_TOP_BIT = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)
+
+
+def random_bits(rng: _random.Random, k: int) -> str:
+    """k random bits as a "0"/"1" string, equal to
+    `"".join("01"[rng.getrandbits(1)] for _ in range(k))` and leaving rng
+    in the same state.  CPython's getrandbits(1) is the top bit of one
+    32-bit Mersenne Twister word, and getrandbits(32 * k) packs k such
+    words, the first least significant; so byte 3 of each little-endian
+    word holds the bit."""
+    return rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4].translate(_TOP_BIT).decode()
+
+
 def _flip(bits: str, index: int = 0) -> str:
     if not bits:
         return bits
@@ -171,7 +185,8 @@ class ClaimLiar(Strategy):
 
 class RandomizedByzantine(Strategy):
     """Replaces every non-silent corrupted slot by independent random
-    per-receiver payloads of the honest payload's length."""
+    per-receiver payloads of the honest payload's length: one
+    `random_bits` call per receiver, in `ctx.receivers` order."""
 
     name = "randomized_byzantine"
 
@@ -183,12 +198,7 @@ class RandomizedByzantine(Strategy):
         if not honest_payload:
             return Broadcast("")
         bits = len(honest_payload)
-        return Selective(
-            {
-                r: "".join("01"[self.rng.getrandbits(1)] for _ in range(bits))
-                for r in ctx.receivers
-            }
-        )
+        return Selective({r: random_bits(self.rng, bits) for r in ctx.receivers})
 
 
 STRATEGY_REGISTRY: dict[str, type[Strategy]] = {

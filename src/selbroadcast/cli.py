@@ -7,6 +7,9 @@
 
 Exit code is 0 iff every verdict is Pass.  On the first Fail the suite
 aborts, printing the offending seed and the path of a replayable trace.
+An exception raised inside a run stops the suite too: after the records
+before it, one FAIL line names the run's point, seed and exception, and
+no trace is written for it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .bounds import (
     total_bb_cost_bits,
 )
 from .channel import TraceEntry, TrafficMeter
-from .harness import MetricsRecord, Scenario, run_scenario, sweep, write_csv, write_trace
+from .harness import MetricsRecord, Scenario, grid_scenarios, repetitions, write_csv, write_trace
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -34,18 +37,34 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, help="parallel repetitions")
 
 
-def _report(records: list[MetricsRecord], args) -> int:
+def _label(scenario: Scenario, seed: int) -> str:
+    return (
+        f"n={scenario.n} t={scenario.t} L={scenario.L} "
+        f"{scenario.algorithm}/{scenario.strategy} seed={seed}"
+    )
+
+
+def _run_and_report(scenarios: list[Scenario], args) -> int:
+    """Run the scenarios' repetitions in order until the first exception
+    inside a run, report every record, then that exception."""
+    records: list[MetricsRecord] = []
+    crash = None
+    for scenario in scenarios:
+        seed = scenario.base_seed
+        try:
+            for record in repetitions(scenario, jobs=args.jobs):
+                records.append(record)
+                seed += 1
+        except Exception as exc:  # reported as a FAIL line below
+            crash = f"FAIL {_label(scenario, seed)} {type(exc).__name__}: {exc}"
+            break
     if args.out:
         write_csv(records, args.out)
     trace_dir = args.trace
     if trace_dir:
         trace_dir.mkdir(parents=True, exist_ok=True)
-    status = 0
     for record in records:
-        label = (
-            f"n={record.row['n']} t={record.row['t']} L={record.row['L']} "
-            f"{record.row['algorithm']}/{record.row['strategy']} seed={record.seed}"
-        )
+        label = _label(record.scenario, record.seed)
         if trace_dir:
             path = trace_dir / f"trace_{record.row['algorithm']}_{record.row['strategy']}_{record.seed}_{record.rep}.jsonl"
             write_trace(record, path)
@@ -55,28 +74,28 @@ def _report(records: list[MetricsRecord], args) -> int:
             path = (trace_dir or Path(".")) / f"fail_seed{record.seed}.jsonl"
             write_trace(record, path)
             print(f"FAIL {label} verdict={record.verdict} trace={path}")
-            status = 1
-            break
-    return status
+            return 1
+    if crash:
+        print(crash)
+        return 1
+    return 0
 
 
 def _cmd_run(args) -> int:
     raw = json.loads(Path(args.scenario).read_text())
     if args.seed is not None:
         raw["seeds"] = args.seed
-    scenario = Scenario.from_dict(raw)
-    records = run_scenario(scenario, jobs=args.jobs)
-    return _report(records, args)
+    return _run_and_report([Scenario.from_dict(raw)], args)
 
 
 def _cmd_sweep(args) -> int:
     grid = json.loads(Path(args.grid).read_text())
     if args.seed is not None:
         grid["seeds"] = args.seed
-    records, errors = sweep(grid, jobs=args.jobs)
+    scenarios, errors = grid_scenarios(grid)
     for err in errors:
         print(f"SKIP {err}")
-    return _report(records, args)
+    return _run_and_report(scenarios, args)
 
 
 def _cmd_verify_bounds(args) -> int:

@@ -13,9 +13,9 @@ import itertools
 import json
 import random as _random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .adversaries import STRATEGY_REGISTRY, make_strategy
+from .adversaries import STRATEGY_REGISTRY, make_strategy, random_bits
 from .bounds import (
     check_bounds,
     message_lower_bound,
@@ -115,8 +115,7 @@ class MetricsRecord:
 def scenario_input(scenario: Scenario, seed: int) -> str:
     if scenario.input_bits is not None:
         return scenario.input_bits
-    rng = _random.Random(seed ^ 0x5EB0ADCA57)
-    return "".join("01"[rng.getrandbits(1)] for _ in range(scenario.L))
+    return random_bits(_random.Random(seed ^ 0x5EB0ADCA57), scenario.L)
 
 
 def run_repetition(scenario: Scenario, rep: int) -> MetricsRecord:
@@ -164,27 +163,42 @@ def run_repetition(scenario: Scenario, rep: int) -> MetricsRecord:
     return MetricsRecord(scenario, rep, seed, str(verdict), outcome, row)
 
 
-def run_scenario(scenario: Scenario, jobs: int = 1) -> list[MetricsRecord]:
-    reps = range(scenario.repetitions)
+def repetitions(scenario: Scenario, jobs: int = 1) -> Iterator[MetricsRecord]:
+    """The scenario's records in repetition order.  An exception raised
+    inside repetition k propagates after records 0..k-1 were yielded, so
+    the caller knows the failing seed."""
+    args = (itertools.repeat(scenario), range(scenario.repetitions))
     if jobs > 1 and scenario.repetitions > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_repetition, itertools.repeat(scenario), reps))
-    return [run_repetition(scenario, rep) for rep in reps]
+            yield from pool.map(run_repetition, *args)
+    else:
+        yield from map(run_repetition, *args)
+
+
+def run_scenario(scenario: Scenario, jobs: int = 1) -> list[MetricsRecord]:
+    return list(repetitions(scenario, jobs))
 
 
 def sweep(grid: dict, jobs: int = 1) -> tuple[list[MetricsRecord], list[str]]:
     """Cartesian product over grid axes.  Points that do not make a valid
     Scenario are reported and skipped; an exception raised while running
     a valid point propagates."""
+    scenarios, errors = grid_scenarios(grid)
+    return [record for s in scenarios for record in run_scenario(s, jobs)], errors
+
+
+def grid_scenarios(grid: dict) -> tuple[list[Scenario], list[str]]:
+    """The valid Scenarios of the grid's cartesian product, and one error
+    line per point that is not one."""
     axes = {}
     for key in ("n", "t", "c", "L", "algorithm", "strategy", "repetitions", "seeds"):
         if key in grid:
             v = grid[key]
             axes[key] = v if isinstance(v, list) else [v]
     names = list(axes)
-    records: list[MetricsRecord] = []
+    scenarios: list[Scenario] = []
     errors: list[str] = []
     for combo in itertools.product(*(axes[k] for k in names)):
         point = dict(zip(names, combo))
@@ -192,12 +206,10 @@ def sweep(grid: dict, jobs: int = 1) -> tuple[list[MetricsRecord], list[str]]:
         try:
             if point.get("t") == "max":
                 point["t"] = (point["n"] - 1) // 3
-            scenario = Scenario.from_dict(point)
+            scenarios.append(Scenario.from_dict(point))
         except (ValueError, KeyError) as exc:
             errors.append(f"{point}: {exc}")
-            continue
-        records.extend(run_scenario(scenario, jobs=jobs))
-    return records, errors
+    return scenarios, errors
 
 
 def write_csv(records: Iterable[MetricsRecord], path) -> None:

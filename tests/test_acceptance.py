@@ -29,6 +29,7 @@ from selbroadcast import (
     write_csv,
     write_trace,
 )
+from selbroadcast.adversaries import random_bits
 
 CORPUS_CONFIGS = ((4, 1, 3, 12), (7, 2, 3, 18))
 SEEDS_PER_SCENARIO = 100
@@ -58,16 +59,11 @@ def corpus():
     return records, time.perf_counter() - start
 
 
-def _random_bits(length: int, seed: int) -> str:
-    rng = random.Random(seed)
-    return "".join("01"[rng.getrandbits(1)] for _ in range(length))
-
-
 def test_acceptance_1_exact_honest_bit_cost():
     ok, details = True, []
     for n, t, c, L in ((4, 1, 3, 12), (7, 2, 3, 18), (10, 3, 4, 160)):
         config = SystemConfig(n=n, t=t, c=c, L=L)
-        x = _random_bits(L, seed=n)
+        x = random_bits(random.Random(n), L)
         start = time.perf_counter()
         out = run_byzantine_broadcast(x, config, make_strategy("honest", config))
         elapsed = time.perf_counter() - start
@@ -178,7 +174,7 @@ def test_acceptance_7_committee_structure():
     for n, c, L in ((10, 4, 32), (25, 5, 115)):
         config = SystemConfig(n=n, t=1, c=c, L=L, seed=11)
         out = run_algorithm2(
-            _random_bits(L, seed=11), config, make_strategy("honest", config)
+            random_bits(random.Random(11), L), config, make_strategy("honest", config)
         )
         counts[n] = out.meter.honest_messages
     ok = ok and counts[10] == counts[25]
@@ -189,14 +185,14 @@ def test_acceptance_7_committee_structure():
     passive = set(committee_layout(config).passive)
     for name in sorted(STRATEGY_REGISTRY):
         out = run_algorithm2(
-            _random_bits(32, seed=3), config, make_strategy(name, config)
+            random_bits(random.Random(3), 32), config, make_strategy(name, config)
         )
         ok = ok and all(e.sender not in passive for e in out.trace)
         ok = ok and out.meter.honest_messages > config.t
 
     # broadcast coalescing: strictly fewer messages than the point-to-point
     # count of the same run's core
-    out = run_algorithm2(_random_bits(32, seed=7), config, make_strategy("honest", config))
+    out = run_algorithm2(random_bits(random.Random(7), 32), config, make_strategy("honest", config))
     coalesced = out.meter.honest_messages
     unicast = out.meter.as_unicast(config.n, {"CORE"}).honest_messages
     ok = ok and coalesced < unicast

@@ -1,7 +1,11 @@
 """Adversary strategy catalog: registry shape, corrupt-set discipline,
 and deterministic behaviour."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from selbroadcast import (
     STRATEGY_REGISTRY,
@@ -10,6 +14,7 @@ from selbroadcast import (
     run_byzantine_broadcast,
     strategy_catalog,
 )
+from selbroadcast.adversaries import random_bits
 
 
 @pytest.fixture
@@ -66,3 +71,18 @@ def test_strategy_seed_param_changes_behaviour(config):
 def test_unknown_strategy_rejected(config):
     with pytest.raises(ValueError):
         make_strategy("omniscient", config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64), k=st.integers(0, 2000))
+@example(seed=0, k=0)
+@example(seed=1, k=1)
+@example(seed=2, k=7)
+@example(seed=3, k=33)
+@example(seed=4, k=2000)
+def test_random_bits_matches_per_bit_draws(seed, k):
+    # The per-bit reference: the only place that draws one bit per call.
+    fast, slow = random.Random(seed), random.Random(seed)
+    expected = "".join("01"[slow.getrandbits(1)] for _ in range(k))
+    assert random_bits(fast, k) == expected
+    assert fast.getstate() == slow.getstate()

@@ -1,6 +1,8 @@
 """Committee-based broadcast: layout, majority vote, n-independent honest
 traffic, passive silence, and the point-to-point view of core traffic."""
 
+import random
+
 import pytest
 
 from selbroadcast import (
@@ -13,13 +15,13 @@ from selbroadcast import (
     make_strategy,
     run_algorithm2,
 )
+from selbroadcast.adversaries import random_bits
 
 
 def run(n, t, c, L, strategy_name, seed=0, **params):
     config = SystemConfig(n=n, t=t, c=c, L=L, seed=seed)
     strategy = make_strategy(strategy_name, config, **params)
-    rng_x = __import__("random").Random(seed)
-    x = "".join("01"[rng_x.getrandbits(1)] for _ in range(L))
+    x = random_bits(random.Random(seed), L)
     return x, run_algorithm2(x, config, strategy)
 
 

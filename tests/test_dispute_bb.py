@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from selbroadcast.adversaries import make_strategy
+from selbroadcast.adversaries import make_strategy, random_bits
 from selbroadcast.channel import (
     DisputeGraph,
     ProtocolError,
@@ -27,15 +27,10 @@ def code():
     return RSCode(4, 1, GF(3))
 
 
-def random_bits(seed, length):
-    rng = random.Random(seed)
-    return "".join("01"[rng.getrandbits(1)] for _ in range(length))
-
-
 def run(n, t, c, L, strategy_name, seed=0, x=None, **params):
     cfg = SystemConfig(n=n, t=t, c=c, L=L, seed=seed)
     strategy = make_strategy(strategy_name, cfg, **params)
-    x = x if x is not None else random_bits(seed, L)
+    x = x if x is not None else random_bits(random.Random(seed), L)
     return x, run_byzantine_broadcast(x, cfg, strategy)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eig_reference
-from selbroadcast.adversaries import Broadcast, Selective, Strategy, make_strategy
+from selbroadcast.adversaries import Broadcast, Selective, Strategy, make_strategy, random_bits
 from selbroadcast.channel import Simulation, SystemConfig, TrafficMeter, check_bb_properties
 from selbroadcast.committee import run_algorithm2
 from selbroadcast.dispute_bb import run_byzantine_broadcast
@@ -49,12 +49,7 @@ class CollusionPair(Strategy):
             )
         if not honest_payload:
             return Broadcast("")
-        return Selective(
-            {
-                r: "".join("01"[self.rng.getrandbits(1)] for _ in honest_payload)
-                for r in ctx.receivers
-            }
-        )
+        return Selective({r: random_bits(self.rng, len(honest_payload)) for r in ctx.receivers})
 
 
 def test_honest_source_all_agree():

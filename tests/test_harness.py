@@ -17,7 +17,7 @@ from selbroadcast import (
     write_trace,
 )
 from selbroadcast import harness
-from selbroadcast.channel import TraceEntry
+from selbroadcast.channel import ProtocolError, TraceEntry
 from selbroadcast.cli import main
 
 METER_COLUMNS = ("honest_messages", "honest_bits", "adversary_messages", "adversary_bits")
@@ -273,3 +273,58 @@ def test_acceptance_corpus_bytes_are_pinned(tmp_path):
         digest.update(path.read_bytes())
         digest.update(json.dumps(record.outcome.outputs, sort_keys=True).encode())
     assert digest.hexdigest() == CORPUS_DIGEST
+
+
+# sha256 over runs whose adversary draws multi-kilobit payloads, which the
+# acceptance corpus (L <= 18) never reaches: `algo2` at (10,3,4), L=256,
+# relays CORE values thousands of bits long.  Each record's JSONL trace and
+# its outputs as sorted JSON, in order.
+LARGE_PAYLOAD_DIGEST = "08c7b1496f5e2efae3884639738516225a3a09898058b1309a767cbff0de667d"
+
+
+def test_large_payload_runs_are_pinned(tmp_path):
+    records = []
+    for algorithm, (n, t, c, L) in (("algo2", (10, 3, 4, 256)), ("dispute_bb", (7, 2, 3, 18))):
+        records.extend(run_scenario(Scenario(
+            n=n, t=t, c=c, L=L, algorithm=algorithm, strategy="randomized_byzantine",
+            repetitions=2)))
+    digest = hashlib.sha256()
+    path = tmp_path / "trace.jsonl"
+    for record in records:
+        write_trace(record, path)
+        digest.update(path.read_bytes())
+        digest.update(json.dumps(record.outcome.outputs, sort_keys=True).encode())
+    assert digest.hexdigest() == LARGE_PAYLOAD_DIGEST
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_reports_an_exception_inside_a_run_as_fail(tmp_path, capsys, monkeypatch, command):
+    # The first repetition passes; the second (seed 1) raises inside the
+    # protocol.  The CLI prints the first as PASS and the second as one
+    # FAIL line naming its point and the exception, and exits 1.
+    calls = []
+    original = harness.run_byzantine_broadcast
+
+    def broken(x, config, strategy):
+        calls.append(config.seed)
+        if config.seed == 1:
+            raise ProtocolError("raised inside the run")
+        return original(x, config, strategy)
+
+    monkeypatch.setattr(harness, "run_byzantine_broadcast", broken)
+    if command == "run":
+        path = _write_scenario(tmp_path, repetitions=3)
+    else:
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(
+            {"n": [4], "t": [1], "c": [3], "L": ["1D"], "repetitions": [3]}))
+    out_csv = tmp_path / "out.csv"
+    assert main([command, str(path), "--out", str(out_csv)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    L = 12 if command == "run" else 6
+    assert lines == [
+        f"PASS n=4 t=1 L={L} dispute_bb/honest seed=0",
+        f"FAIL n=4 t=1 L={L} dispute_bb/honest seed=1 ProtocolError: raised inside the run",
+    ]
+    assert calls == [0, 1]
+    assert len(out_csv.read_text().splitlines()) == 2  # header + the passing record
