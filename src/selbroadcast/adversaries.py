@@ -177,8 +177,7 @@ class ClaimLiar(Strategy):
         if ctx.tag == "eig.source" and purpose == "dd":
             return Broadcast("1")
         if ctx.tag == "eig.source" and purpose == "dc_claim" and honest_payload:
-            # Claim layout: presence flag + D block bits + per-node entries.
-            # Flipping bit 1 tampers the first bit of the claimed block.
+            # Bit 1 is the first claimed block bit (`dispute_bb.serialize_claim`).
             return Broadcast(_flip(honest_payload, 1))
         return Broadcast(honest_payload)
 

@@ -36,6 +36,11 @@ class ProtocolError(Exception):
     """An internal protocol-soundness invariant was violated."""
 
 
+def generation_size(n: int, t: int, c: int) -> int:
+    """D = c(n-2t): the bits of one RS data block of n-2t c-bit symbols."""
+    return c * (n - 2 * t)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """(n, t, c, D, L) with the standard parameter constraints."""
@@ -54,7 +59,7 @@ class SystemConfig:
             raise ValueError("need n >= 3t + 1 (and n >= 2)")
         if self.n > (1 << self.c) - 1:
             raise ValueError("need n <= 2^c - 1")
-        d = self.c * (self.n - 2 * self.t)
+        d = generation_size(self.n, self.t, self.c)
         if self.D == 0:
             object.__setattr__(self, "D", d)
         elif self.D != d:
@@ -258,6 +263,13 @@ class Simulation:
         self.trace: list[TraceEntry] = []
         self.round_no = 0
 
+    def __enter__(self) -> "Simulation":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc is not None:  # an exception leaving the run carries its trace so far
+            exc.trace = self.trace
+
     def round(self, intents: Mapping[int, str], phase: str, tag: str, extra: Optional[dict] = None) -> dict[int, dict[int, str]]:
         """Run one synchronous round; returns per-node inboxes."""
         from .adversaries import SlotCtx  # local import to avoid a cycle
@@ -331,16 +343,15 @@ class Verdict:
 
 
 def check_bb_properties(outcome: BbOutcome, x: str) -> Verdict:
-    """Termination, consistency and validity over the fault-free peers."""
-    n, faulty = outcome.config.n, outcome.faulty
-    peers = [p for p in outcome.outputs if p not in faulty]
-    expected = [p for p in range(2, n + 1) if p not in faulty]
-    missing = [p for p in expected if p not in outcome.outputs or outcome.outputs[p] is None]
+    """Termination (L-bit outputs), consistency and validity over the fault-free peers."""
+    outputs, faulty = outcome.outputs, outcome.faulty
+    peers = tuple(p for p in outcome.config.peers if p not in faulty)
+    missing = tuple(p for p in peers if len(outputs.get(p) or "") != outcome.config.L)
     if missing:
-        return Verdict(False, "Termination", tuple(missing))
-    values = {outcome.outputs[p] for p in peers}
+        return Verdict(False, "Termination", missing)
+    values = {outputs[p] for p in peers}
     if len(values) > 1:
-        return Verdict(False, "Consistency", tuple(sorted(peers)))
-    if 1 not in faulty and peers and outcome.outputs[peers[0]] != x:
-        return Verdict(False, "Validity", tuple(sorted(peers)))
+        return Verdict(False, "Consistency", peers)
+    if 1 not in faulty and values - {x}:
+        return Verdict(False, "Validity", peers)
     return Verdict(True)

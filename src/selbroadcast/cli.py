@@ -9,7 +9,7 @@ Exit code is 0 iff every verdict is Pass.  On the first Fail the suite
 aborts, printing the offending seed and the path of a replayable trace.
 An exception raised inside a run stops the suite too: after the records
 before it, one FAIL line names the run's point, seed and exception, and
-no trace is written for it.
+the replayable trace up to the raise, if the run had sent anything.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .bounds import (
     static_db_lower_bound_bits,
     total_bb_cost_bits,
 )
-from .channel import TraceEntry, TrafficMeter
-from .harness import MetricsRecord, Scenario, grid_scenarios, repetitions, write_csv, write_trace
+from .channel import TraceEntry, TrafficMeter, generation_size
+from .harness import MetricsRecord, Scenario, grid_scenarios, repetitions, write_csv, write_entries
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -48,15 +48,16 @@ def _run_and_report(scenarios: list[Scenario], args) -> int:
     """Run the scenarios' repetitions in order until the first exception
     inside a run, report every record, then that exception."""
     records: list[MetricsRecord] = []
-    crash = None
+    failure = None  # (FAIL line, seed, trace)
     for scenario in scenarios:
         seed = scenario.base_seed
         try:
             for record in repetitions(scenario, jobs=args.jobs):
                 records.append(record)
                 seed += 1
-        except Exception as exc:  # reported as a FAIL line below
-            crash = f"FAIL {_label(scenario, seed)} {type(exc).__name__}: {exc}"
+        except Exception as exc:  # a FAIL line, with the trace its Simulation attached
+            line = f"FAIL {_label(scenario, seed)} {type(exc).__name__}: {exc}"
+            failure = (line, seed, getattr(exc, "trace", None))
             break
     if args.out:
         write_csv(records, args.out)
@@ -67,18 +68,20 @@ def _run_and_report(scenarios: list[Scenario], args) -> int:
         label = _label(record.scenario, record.seed)
         if trace_dir:
             path = trace_dir / f"trace_{record.row['algorithm']}_{record.row['strategy']}_{record.seed}_{record.rep}.jsonl"
-            write_trace(record, path)
-        if record.passed:
-            print(f"PASS {label}")
-        else:
-            path = (trace_dir or Path(".")) / f"fail_seed{record.seed}.jsonl"
-            write_trace(record, path)
-            print(f"FAIL {label} verdict={record.verdict} trace={path}")
-            return 1
-    if crash:
-        print(crash)
-        return 1
-    return 0
+            write_entries(record.outcome.trace, path)
+        if not record.passed:
+            failure = (f"FAIL {label} verdict={record.verdict}", record.seed, record.outcome.trace)
+            break
+        print(f"PASS {label}")
+    if failure is None:
+        return 0
+    line, seed, trace = failure
+    if trace:
+        path = (trace_dir or Path(".")) / f"fail_seed{seed}.jsonl"
+        write_entries(trace, path)
+        line += f" trace={path}"
+    print(line)
+    return 1
 
 
 def _cmd_run(args) -> int:
@@ -100,10 +103,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify_bounds(args) -> int:
     n, t, L = args.n, args.t, args.L
-    c = 1
-    while n > (1 << c) - 1:
-        c += 1
-    D = c * (n - 2 * t)
+    c = max(n, 1).bit_length()  # the smallest c >= 1 with n <= 2^c - 1
+    D = generation_size(n, t, c)
     print(f"n={n} t={t} L={L} (c={c}, D={D})")
     print(f"detectable_cost_bits(n, t, D) = {detectable_cost_bits(n, t, D)}")
     print(f"total_bb_cost_bits(n, t, L)   = {total_bb_cost_bits(n, t, L)}")

@@ -29,7 +29,7 @@ from .channel import (
     Simulation,
     SystemConfig,
 )
-from .eig import eig_broadcast
+from .eig import canon, eig_broadcast
 
 
 @dataclass(frozen=True)
@@ -77,38 +77,29 @@ def run_algorithm2(x: str, config: SystemConfig, strategy: Strategy) -> BbOutcom
     """Source broadcast, committee consensus, announcement, majority vote."""
     if len(x) != config.L:
         raise ValueError(f"input must be exactly L={config.L} bits")
-    sim = Simulation(config, strategy)
     layout = committee_layout(config)
     L = config.L
 
-    inbox = sim.round({1: x}, "SRC", "source_value")
-    received = {}
-    for i in layout.active:
-        if i == 1:
-            received[i] = x
-        else:
-            p = inbox[i].get(1, "")
-            received[i] = p if len(p) == L else "0" * L
+    with Simulation(config, strategy) as sim:
+        inbox = sim.round({1: x}, "SRC", "source_value")
+        received = {i: x if i == 1 else canon(inbox[i].get(1), L) or "0" * L for i in layout.active}
 
-    decisions = eig_core(sim, layout, received)
-    fault_free_active = [i for i in layout.active if i not in sim.faulty]
-    if len({decisions[i] for i in fault_free_active}) != 1:
-        raise ProtocolError("fault-free active nodes decided differently")
+        decisions = eig_core(sim, layout, received)
+        fault_free_active = [i for i in layout.active if i not in sim.faulty]
+        if len({decisions[i] for i in fault_free_active}) != 1:
+            raise ProtocolError("fault-free active nodes decided differently")
 
-    intents = {a: decisions[a] for a in layout.announcers}
-    inbox3 = sim.round(intents, "ANN", "announce")
+        intents = {a: decisions[a] for a in layout.announcers}
+        inbox3 = sim.round(intents, "ANN", "announce")
 
-    outputs: dict[int, str] = {}
-    for i in config.peers:
-        if i in sim.faulty:
-            continue
-        if i in layout.active:
-            outputs[i] = decisions[i]
-        else:
-            votes = []
-            for a in layout.announcers:
-                p = inbox3[i].get(a, "")
-                votes.append(p if len(p) == L else "0" * L)
-            outputs[i] = majority_vote(votes, config.t)
+        outputs: dict[int, str] = {}
+        for i in config.peers:
+            if i in sim.faulty:
+                continue
+            if i in layout.active:
+                outputs[i] = decisions[i]
+            else:
+                votes = [canon(inbox3[i].get(a), L) or "0" * L for a in layout.announcers]
+                outputs[i] = majority_vote(votes, config.t)
 
     return BbOutcome(config=config, outputs=outputs, trace=sim.trace, faulty=sim.faulty)

@@ -40,7 +40,7 @@ from .channel import (
     Simulation,
     SystemConfig,
 )
-from .eig import eig_broadcast
+from .eig import eig_broadcast, pack, unpack
 from .gf import GF
 from .rs import RSCode, bits_to_symbols, symbols_to_bits
 
@@ -114,25 +114,22 @@ def db_resolve(code: RSCode, view) -> tuple[Block, bool]:
     return data, False
 
 
-def serialize_claim(block: Optional[Block], view, c: int, k: int) -> str:
-    parts = ["1" + symbols_to_bits(block, c) if block is not None else "0" + "0" * (c * k)]
-    for v in view:
-        parts.append("0" + "0" * c if v is None else "1" + format(v, f"0{c}b"))
-    return "".join(parts)
+def serialize_claim(block: Optional[Block], view, code: RSCode) -> str:
+    """`pack`ed: the block as one c(n-2t)-bit value, then the n view symbols."""
+    c = code.field.c
+    head = pack([None if block is None else symbols_to_bits(block, c)], c * code.k)
+    return head + pack([None if v is None else format(v, f"0{c}b") for v in view], c)
 
 
-def parse_claim(bits: str, n: int, c: int, k: int) -> tuple[Optional[Block], list[Optional[int]]]:
-    expected = 1 + c * k + n * (1 + c)
-    if len(bits) != expected:
+def parse_claim(bits: str, code: RSCode) -> tuple[Optional[Block], list[Optional[int]]]:
+    """Inverse of `serialize_claim`; any other total length reads as no claim."""
+    n, c = code.n, code.field.c
+    head = 1 + c * code.k
+    if len(bits) != head + n * (1 + c):
         return None, [None] * n
-    block = bits_to_symbols(bits[1 : 1 + c * k], c) if bits[0] == "1" else None
-    view: list[Optional[int]] = []
-    pos = 1 + c * k
-    for _ in range(n):
-        flag, sym = bits[pos], bits[pos + 1 : pos + 1 + c]
-        view.append(int(sym, 2) if flag == "1" else None)
-        pos += 1 + c
-    return block, view
+    (block,) = unpack(bits[:head], 1, c * code.k)
+    view = [None if v is None else int(v, 2) for v in unpack(bits[head:], n, c)]
+    return (None if block is None else bits_to_symbols(block, c)), view
 
 
 def derive_disputes(
@@ -140,11 +137,9 @@ def derive_disputes(
     x_common: Block,
     claims: dict[int, tuple[Optional[Block], list[Optional[int]]]],
     disputes: DisputeGraph,
-    excluded: frozenset[int],
 ) -> list[tuple[int, int]]:
     """Cross-check the common claim set; every returned pair is new and is
     guaranteed to contain at least one faulty node."""
-    n = code.n
     new: list[tuple[int, int]] = []
 
     def propose(a: int, b: int):
@@ -195,101 +190,99 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
     """Iterate the three-phase loop over all L/D generations."""
     if len(x) != config.L:
         raise ValueError(f"input must be exactly L={config.L} bits")
-    n, t, c, D = config.n, config.t, config.c, config.D
-    field_ = GF(c)
-    code = RSCode(n, t, field_)
-    k = code.k
-    sim = Simulation(config, strategy)
+    t, c, D = config.t, config.c, config.D
+    code = RSCode(config.n, t, GF(c))
     disputes = DisputeGraph(t)
     nodes = tuple(config.nodes)
     generations: list[GenerationRecord] = []
 
-    for g in range(1, config.L // D + 1):
-        x_bits = x[(g - 1) * D : g * D]
-        rec = GenerationRecord(g, x_bits)
-        generations.append(rec)
-        excluded = disputes.identified_faulty
+    with Simulation(config, strategy) as sim:
+        for g in range(1, config.L // D + 1):
+            x_bits = x[(g - 1) * D : g * D]
+            rec = GenerationRecord(g, x_bits)
+            generations.append(rec)
+            excluded = disputes.identified_faulty
 
-        if 1 in excluded:
-            # Disqualified source: all remaining generations take the
-            # default value, with no traffic.
-            rec.skipped = True
-            for i in config.peers:
-                rec.y_bits[i] = "0" * D
-            continue
-
-        # --- Detectable Broadcast -------------------------------------
-        inbox = sim.round({1: x_bits}, "DB", "source_value")
-        active_peers = [i for i in config.peers if i not in excluded]
-        # blocks[i]: the block peer i received; own[i]: its codeword.
-        # Both are None when i is in dispute with the source, and i then
-        # stays silent in the symbol slot.
-        blocks: dict[int, Optional[Block]] = {}
-        own: dict[int, Optional[tuple[int, ...]]] = {}
-        for i in active_peers:
-            if disputes.in_dispute(1, i):
-                blocks[i] = own[i] = None
-            else:
-                blocks[i] = bits_to_symbols(_pad(inbox[i].get(1, ""), D), c)
-                own[i] = code.encode(blocks[i])
-
-        intents = {
-            i: "" if own[i] is None else symbols_to_bits([own[i][i - 1]], c)
-            for i in active_peers
-        }
-        inbox2 = sim.round(intents, "DB", "alg1.symbol")
-
-        views: dict[int, list[Optional[int]]] = {}
-        for i in active_peers:
-            views[i] = db_assemble_view(code, i, own[i], inbox2[i], disputes, excluded)
-            z_i, det_i = db_resolve(code, views[i])
-            rec.z[i], rec.detected[i] = z_i, det_i
-
-        # --- Detection Dissemination ----------------------------------
-        fault_free = [i for i in nodes if i not in sim.faulty]
-        for i in nodes:
-            if i in excluded:
-                rec.announced[i] = False
+            if 1 in excluded:
+                # Disqualified source: all remaining generations take the
+                # default value, with no traffic.
+                rec.skipped = True
+                for i in config.peers:
+                    rec.y_bits[i] = "0" * D
                 continue
-            bit = "1" if rec.detected.get(i, False) else "0"
-            res = eig_broadcast(sim, i, bit, nodes, "DD", "dd", skip=excluded)
-            rec.announced[i] = _agreed(res, fault_free, f"detection broadcast of node {i}") == "1"
 
-        if not any(rec.announced.values()):
+            # --- Detectable Broadcast -------------------------------------
+            inbox = sim.round({1: x_bits}, "DB", "source_value")
+            active_peers = [i for i in config.peers if i not in excluded]
+            # blocks[i]: the block peer i received; own[i]: its codeword.
+            # Both are None when i is in dispute with the source, and i then
+            # stays silent in the symbol slot.
+            blocks: dict[int, Optional[Block]] = {}
+            own: dict[int, Optional[tuple[int, ...]]] = {}
+            for i in active_peers:
+                if disputes.in_dispute(1, i):
+                    blocks[i] = own[i] = None
+                else:
+                    blocks[i] = bits_to_symbols(_pad(inbox[i].get(1, ""), D), c)
+                    own[i] = code.encode(blocks[i])
+
+            intents = {
+                i: "" if own[i] is None else symbols_to_bits([own[i][i - 1]], c)
+                for i in active_peers
+            }
+            inbox2 = sim.round(intents, "DB", "alg1.symbol")
+
+            views: dict[int, list[Optional[int]]] = {}
+            for i in active_peers:
+                views[i] = db_assemble_view(code, i, own[i], inbox2[i], disputes, excluded)
+                z_i, det_i = db_resolve(code, views[i])
+                rec.z[i], rec.detected[i] = z_i, det_i
+
+            # --- Detection Dissemination ----------------------------------
+            fault_free = [i for i in nodes if i not in sim.faulty]
+            for i in nodes:
+                if i in excluded:
+                    rec.announced[i] = False
+                    continue
+                bit = "1" if rec.detected.get(i, False) else "0"
+                res = eig_broadcast(sim, i, bit, nodes, "DD", "dd", skip=excluded)
+                rec.announced[i] = _agreed(res, fault_free, f"detection broadcast of node {i}") == "1"
+
+            if not any(rec.announced.values()):
+                for i in config.peers:
+                    rec.y_bits[i] = "0" * D if i in excluded else symbols_to_bits(rec.z[i], c)
+                continue
+
+            # --- Dispute Control ------------------------------------------
+            rec.dc_invoked = True
+
+            res = eig_broadcast(sim, 1, x_bits, nodes, "DC", "dc_value", skip=excluded)
+            x_common_bits = _agreed(res, fault_free, "dispute-control value broadcast")
+            x_common = bits_to_symbols(x_common_bits, c)
+
+            claims: dict[int, tuple[Optional[Block], list[Optional[int]]]] = {}
+            for i in active_peers:
+                payload = serialize_claim(blocks[i], views[i], code)
+                res = eig_broadcast(sim, i, payload, nodes, "DC", "dc_claim", skip=excluded)
+                claims[i] = parse_claim(_agreed(res, fault_free, f"claim broadcast of peer {i}"), code)
+
+            new_pairs = derive_disputes(code, x_common, claims, disputes)
+            rec.new_pairs = tuple(new_pairs)
+            ff_detected = any(rec.detected.get(i, False) for i in active_peers if i not in sim.faulty)
+            if new_pairs:
+                for a, b in new_pairs:
+                    disputes.add(a, b)
+            else:
+                if ff_detected:
+                    raise ProtocolError(
+                        "a fault-free node detected misbehavior but dispute "
+                        "control derived no new pair"
+                    )
+                # Only liars announced: every announcer is faulty.
+                disputes.identify(i for i, flag in rec.announced.items() if flag)
+
             for i in config.peers:
-                rec.y_bits[i] = "0" * D if i in excluded else symbols_to_bits(rec.z[i], c)
-            continue
-
-        # --- Dispute Control ------------------------------------------
-        rec.dc_invoked = True
-
-        res = eig_broadcast(sim, 1, x_bits, nodes, "DC", "dc_value", skip=excluded)
-        x_common_bits = _agreed(res, fault_free, "dispute-control value broadcast")
-        x_common = bits_to_symbols(x_common_bits, c)
-
-        claims: dict[int, tuple[Optional[Block], list[Optional[int]]]] = {}
-        for i in active_peers:
-            payload = serialize_claim(blocks[i], views[i], c, k)
-            res = eig_broadcast(sim, i, payload, nodes, "DC", "dc_claim", skip=excluded)
-            claims[i] = parse_claim(_agreed(res, fault_free, f"claim broadcast of peer {i}"), n, c, k)
-
-        new_pairs = derive_disputes(code, x_common, claims, disputes, excluded)
-        rec.new_pairs = tuple(new_pairs)
-        ff_detected = any(rec.detected.get(i, False) for i in active_peers if i not in sim.faulty)
-        if new_pairs:
-            for a, b in new_pairs:
-                disputes.add(a, b)
-        else:
-            if ff_detected:
-                raise ProtocolError(
-                    "a fault-free node detected misbehavior but dispute "
-                    "control derived no new pair"
-                )
-            # Only liars announced: every announcer is faulty.
-            disputes.identify(i for i, flag in rec.announced.items() if flag)
-
-        for i in config.peers:
-            rec.y_bits[i] = x_common_bits
+                rec.y_bits[i] = x_common_bits
 
     outputs = {
         i: "".join(rec.y_bits[i] for rec in generations)

@@ -20,35 +20,39 @@ so the children of `level[k]` form the k-th contiguous block of the next
 level, every block of the same size.  Relaying and resolving therefore
 go by position alone; labels are only consulted to decide who relays
 what.
+
+Payload rules, stated once for every module: `canon` (exact length only)
+and the flagged-list codec `pack`/`unpack` (any other length, silence too,
+reads as all absent).  Node j reads relayer i as j holds it (i = j: its own relay).
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Optional, Sequence
 
 from .channel import Simulation
 
 
-def _canon(payload: Optional[str], length: int) -> Optional[str]:
-    """A received value must be exactly `length` bits to count."""
+def canon(payload: Optional[str], length: int) -> Optional[str]:
+    """A received value counts only at exactly `length` bits."""
     if payload and len(payload) == length:
         return payload
     return None
 
 
-def _parse_level(payload: str, count: int, value_len: int) -> list[Optional[str]]:
-    """Split a relay payload into `count` (flag + value) entries."""
-    step = 1 + value_len
+def pack(values: Sequence[Optional[str]], width: int) -> str:
+    """Each value as a 1 flag and its `width` bits; None as `width`+1 zeros."""
+    absent = "0" * (1 + width)
+    return "".join(absent if v is None else "1" + v for v in values)
+
+
+def unpack(payload: str, count: int, width: int) -> list[Optional[str]]:
+    """`pack`'s `count` values back; any other payload length reads as all None."""
+    step = 1 + width
     if len(payload) != count * step:
         return [None] * count
-    out = []
-    for i in range(0, len(payload), step):
-        if payload[i] == "1":
-            out.append(payload[i + 1 : i + step])
-        else:
-            out.append(None)
-    return out
+    starts = range(0, len(payload), step)
+    return [payload[p + 1 : p + step] if payload[p] == "1" else None for p in starts]
 
 
 def _majority(values: list[str], default: str) -> str:
@@ -86,48 +90,44 @@ def eig_broadcast(
 
     intents = {} if source in skip else {source: value}
     inbox = sim.round(intents, phase, "eig.source", extra)
-    held = {j: [_canon(inbox[j].get(source), value_len)] for j in participants}
+    held = {j: [canon(inbox[j].get(source), value_len)] for j in participants}
     held[source] = [value]
 
     level = [(source,)]
     for _ in range(faults):
-        # sent[i]: i's held values of the labels not containing i, in level order.
-        sent: dict[int, list[Optional[str]]] = {}
+        # counts[i]: the values i relays (all but the source; a skipped i is silent).
+        counts: dict[int, int] = {}
         intents = {}
+        parsed: dict[tuple[int, str], list[Optional[str]]] = {}  # values in i's payload
         for i in participants:
-            if i in skip:
-                continue
             values = [v for lab, v in zip(level, held[i]) if i not in lab]
-            if not values:
-                continue
-            sent[i] = values
-            intents[i] = "".join("0" + "0" * value_len if v is None else "1" + v for v in values)
+            if values:
+                counts[i] = len(values)
+                if i not in skip:
+                    intents[i] = pack(values, value_len)
+                    parsed[i, intents[i]] = values  # i's own relay needs no parse
         inbox = sim.round(intents, phase, "eig.relay", extra)
+        for i, payload in intents.items():
+            inbox[i][i] = payload  # i holds its own relay as the protocol meant it
         level = [lab + (i,) for lab in level for i in participants if i not in lab]
-        # Child lab + (i,) takes the next value i relayed.  A skipped
-        # relayer's positions resolve to the default, as do a silent one's
-        # (its empty payload parses to all None).
-        parsed: dict[tuple[int, str], list[Optional[str]]] = {}
+        relayers = [lab[-1] for lab in level]
+        # Child lab + (i,) takes the next value of i's payload as j holds it.
         for j in participants:
             streams = {}
-            for i in participants:
-                if i not in sent:
-                    streams[i] = repeat(None)
-                elif i == j:
-                    streams[i] = iter(sent[i])
-                else:
-                    key = (i, inbox[j].get(i, ""))
-                    if key not in parsed:
-                        parsed[key] = _parse_level(key[1], len(sent[i]), value_len)
-                    streams[i] = iter(parsed[key])
-            held[j] = [next(streams[lab[-1]]) for lab in level]
+            for i, count in counts.items():
+                payload = inbox[j].get(i, "")
+                row = parsed.get((i, payload))
+                if row is None:
+                    row = parsed[i, payload] = unpack(payload, count, value_len)
+                streams[i] = iter(row).__next__
+            held[j] = [streams[i]() for i in relayers]
 
     default = "0" * value_len
-    outputs = {}
-    for j in participants:
-        values = [v or default for v in held[j]]
+    resolved = {}  # nodes holding equal values resolve once
+    for key in set(map(tuple, held.values())):
+        values = [v or default for v in key]
         # Children blocks grow by one per level toward the root.
         for size in range(m - faults, m):
             values = [_majority(values[k : k + size], default) for k in range(0, len(values), size)]
-        outputs[j] = values[0]
-    return outputs
+        resolved[key] = values[0]
+    return {j: resolved[tuple(held[j])] for j in participants}

@@ -22,7 +22,7 @@ from .bounds import (
     static_db_lower_bound_bits,
     total_bb_cost_bits,
 )
-from .channel import BbOutcome, SystemConfig, check_bb_properties
+from .channel import BbOutcome, SystemConfig, TraceEntry, check_bb_properties, generation_size
 from .committee import run_algorithm2
 from .dispute_bb import run_byzantine_broadcast
 
@@ -82,7 +82,7 @@ def _parse_length(value, cfg) -> int:
     text = str(value).strip().upper()
     if text.endswith("D"):
         mult = int(text[:-1] or "1")
-        return mult * cfg["c"] * (cfg["n"] - 2 * cfg["t"])
+        return mult * generation_size(cfg["n"], cfg["t"], cfg["c"])
     return int(text)
 
 
@@ -221,6 +221,10 @@ def write_csv(records: Iterable[MetricsRecord], path) -> None:
 
 
 def write_trace(record: MetricsRecord, path) -> None:
+    write_entries(record.outcome.trace, path)
+
+
+def write_entries(entries: Iterable[TraceEntry], path) -> None:
     with open(path, "w") as fh:
-        for entry in record.outcome.trace:
+        for entry in entries:
             fh.write(json.dumps(entry.as_dict(), sort_keys=True) + "\n")

@@ -128,6 +128,15 @@ def test_bb_properties_termination_failure():
     assert verdict.witnesses == (4,)
 
 
+def test_bb_properties_termination_needs_l_bits():
+    # A faulty source leaves validity vacuous, and equal outputs are
+    # consistent; but a 2-bit output at L = 12 is no termination.
+    out = _outcome({2: "01", 3: "01", 4: "01"}, {1})
+    verdict = check_bb_properties(out, "0" * 12)
+    assert str(verdict) == "Fail(Termination)"
+    assert verdict.witnesses == (2, 3, 4)
+
+
 def test_bb_properties_validity_failure():
     v = "1" * 12
     out = _outcome({2: v, 3: v, 4: v})

@@ -93,11 +93,15 @@ def test_resolve_unique_and_detected(code):
 
 def test_claim_round_trip(code):
     view = [1, None, 1, 3]
-    bits = serialize_claim((1, 0), view, 3, 2)
-    assert parse_claim(bits, 4, 3, 2) == ((1, 0), view)
-    bits = serialize_claim(None, [None] * 4, 3, 2)
-    assert parse_claim(bits, 4, 3, 2) == (None, [None] * 4)
-    assert parse_claim("0", 4, 3, 2) == (None, [None] * 4)  # garbage
+    bits = serialize_claim((1, 0), view, code)
+    assert parse_claim(bits, code) == ((1, 0), view)
+    # one bit more or less than a whole claim reads as no claim at all,
+    # not as the block with a truncated or extended view
+    assert parse_claim(bits + "1", code) == (None, [None] * 4)
+    assert parse_claim(bits[:-1], code) == (None, [None] * 4)
+    bits = serialize_claim(None, [None] * 4, code)
+    assert parse_claim(bits, code) == (None, [None] * 4)
+    assert parse_claim("0", code) == (None, [None] * 4)  # garbage
 
 
 def test_derive_pair_with_equivocating_source(code):
@@ -107,7 +111,7 @@ def test_derive_pair_with_equivocating_source(code):
         3: ((1, 0), [1, 1, 1, 3]),
         4: ((0, 1), [1, 1, 1, 3]),
     }
-    pairs = derive_disputes(code, (1, 0), claims, DisputeGraph(1), frozenset())
+    pairs = derive_disputes(code, (1, 0), claims, DisputeGraph(1))
     assert pairs == [(1, 4)]
 
 
@@ -119,13 +123,13 @@ def test_derive_pair_with_symbol_corruptor(code):
         3: ((1, 0), [1, 1, 1, 1]),
         4: ((1, 0), [1, 1, 1, 1]),
     }
-    pairs = derive_disputes(code, (1, 0), claims, DisputeGraph(1), frozenset())
+    pairs = derive_disputes(code, (1, 0), claims, DisputeGraph(1))
     assert pairs == [(2, 3)]
 
 
 def test_derive_no_pairs_from_consistent_claims(code):
     claims = {i: ((1, 0), [1, 1, 1, 1]) for i in (2, 3, 4)}
-    assert derive_disputes(code, (1, 0), claims, DisputeGraph(1), frozenset()) == []
+    assert derive_disputes(code, (1, 0), claims, DisputeGraph(1)) == []
 
 
 # --- full protocol ------------------------------------------------------

@@ -3,6 +3,7 @@ CSV/trace determinism, and exit codes."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,7 @@ from selbroadcast import (
     write_csv,
     write_trace,
 )
-from selbroadcast import harness
+from selbroadcast import dispute_bb, harness
 from selbroadcast.channel import ProtocolError, TraceEntry
 from selbroadcast.cli import main
 
@@ -328,3 +329,43 @@ def test_cli_reports_an_exception_inside_a_run_as_fail(tmp_path, capsys, monkeyp
     ]
     assert calls == [0, 1]
     assert len(out_csv.read_text().splitlines()) == 2  # header + the passing record
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_writes_the_partial_trace_of_a_run_that_raised(tmp_path, capsys, monkeypatch, command):
+    # Seed 1 raises at its first detection broadcast, after the two DB
+    # rounds of generation 1.  The FAIL line names fail_seed1.jsonl, in
+    # --trace for `run` and in the working directory for `sweep`, holding
+    # the trace up to the raise; replay folds it.
+    original = dispute_bb.eig_broadcast
+
+    def broken(sim, *args, **kwargs):
+        if sim.config.seed == 1:
+            raise ProtocolError("raised after the DB rounds")
+        return original(sim, *args, **kwargs)
+
+    monkeypatch.setattr(dispute_bb, "eig_broadcast", broken)
+    monkeypatch.chdir(tmp_path)
+    if command == "run":
+        trace_dir = tmp_path / "traces"
+        argv = ["run", str(_write_scenario(tmp_path, repetitions=3)), "--trace", str(trace_dir)]
+        L, fail = 12, trace_dir / "fail_seed1.jsonl"
+    else:
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(
+            {"n": [4], "t": [1], "c": [3], "L": ["1D"], "repetitions": [3]}))
+        argv = ["sweep", str(path)]
+        L, fail = 6, Path("fail_seed1.jsonl")
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        f"PASS n=4 t=1 L={L} dispute_bb/honest seed=0",
+        f"FAIL n=4 t=1 L={L} dispute_bb/honest seed=1 ProtocolError: raised after the DB rounds"
+        f" trace={fail}",
+    ]
+    # the source's block, then the three peers' symbols
+    entries = _read_trace(fail)
+    assert [(e.round, e.sender, e.phase) for e in entries] == [
+        (1, 1, "DB"), (2, 2, "DB"), (2, 3, "DB"), (2, 4, "DB")]
+    assert main(["replay", str(fail)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "4 slots"
