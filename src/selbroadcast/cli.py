@@ -105,15 +105,23 @@ def _cmd_verify_bounds(args) -> int:
     n, t, L = args.n, args.t, args.L
     c = max(n, 1).bit_length()  # the smallest c >= 1 with n <= 2^c - 1
     D = generation_size(n, t, c)
-    print(f"n={n} t={t} L={L} (c={c}, D={D})")
-    print(f"detectable_cost_bits(n, t, D) = {detectable_cost_bits(n, t, D)}")
-    print(f"total_bb_cost_bits(n, t, L)   = {total_bb_cost_bits(n, t, L)}")
+    f = args.f if args.f is not None else t
+    try:  # each bound checks its arguments (n >= 3t + 1 first), before any output
+        detectable = detectable_cost_bits(n, t, D)
+        total = total_bb_cost_bits(n, t, L)
+        static = static_db_lower_bound_bits(n, f, L)
+        floor = message_lower_bound(t)
+    except ValueError as exc:
+        print(f"SKIP n={n} t={t} L={L}: {exc}")
+        return 1
     ratio = bit_cost_ratio(n, t)
     in_range = 2 < ratio < 4
+    print(f"n={n} t={t} L={L} (c={c}, D={D})")
+    print(f"detectable_cost_bits(n, t, D) = {detectable}")
+    print(f"total_bb_cost_bits(n, t, L)   = {total}")
     print(f"bit cost ratio                = {ratio} ({'within' if in_range else 'OUTSIDE'} (2, 4))")
-    print(f"message_lower_bound(t)        = {message_lower_bound(t)}")
-    f = args.f if args.f is not None else t
-    print(f"static_db_lower_bound(n, f={f}, L) = {static_db_lower_bound_bits(n, f, L)}")
+    print(f"message_lower_bound(t)        = {floor}")
+    print(f"static_db_lower_bound(n, f={f}, L) = {static}")
     return 0 if (in_range or t == 0) else 1
 
 

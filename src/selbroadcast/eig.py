@@ -13,13 +13,19 @@ holds for that label.  After t+1 rounds each node resolves the tree
 bottom-up by strict majority with an all-zeros default on ties or
 missing values.
 
-Layout: `level` lists the labels of one tree depth, and each node holds
-one list of values aligned with it.  The next level is built as
-`[lab + (i,) for lab in level for i in participants if i not in lab]`,
-so the children of `level[k]` form the k-th contiguous block of the next
-level, every block of the same size.  Relaying and resolving therefore
-go by position alone; labels are only consulted to decide who relays
-what.
+Layout: each node holds one tuple of values per tree depth, in the label
+order `[lab + (i,) for lab in level for i in participants if i not in lab]`,
+so the children of a value form one contiguous block and every block of
+a depth has the same size.  That shape depends only on the participant
+count m, t and the source's position among the sorted participants, so
+`_shape` computes it once per (m, t, position), by position rather than
+by node id: per relay round, the positions each relayer relays (an
+`itemgetter` over its level) and one gather permutation that builds the
+next level from the relayers' rows concatenated in participant order.
+No call looks at a label.  A node's next level is a function of its view
+alone, the payload it holds from each relayer, so it is built once per
+distinct view and shared by the receivers that hold that view: once per
+round when every relayer sends one payload to all, not m times.
 
 Payload rules, stated once for every module: `canon` (exact length only)
 and the flagged-list codec `pack`/`unpack` (any other length, silence too,
@@ -28,7 +34,9 @@ reads as all absent).  Node j reads relayer i as j holds it (i = j: its own rela
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from functools import cache
+from operator import itemgetter
+from typing import Callable, Optional, Sequence
 
 from .channel import Simulation
 
@@ -63,6 +71,42 @@ def _majority(values: list[str], default: str) -> str:
     return default
 
 
+def _select(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """`itemgetter(*positions)`, as a tuple also for a single position."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda seq: (seq[p],)
+    return itemgetter(*positions)
+
+
+@cache
+def _shape(m: int, faults: int, s: int) -> tuple:
+    """The tree shape of m participants with the source at position s,
+    cached once per (m, faults, s) a process meets.
+
+    Per relay round: the relayers' positions, in participant order; for
+    each, `keep`, which reads from its level the values it relays (those
+    at labels without it), and their count; and `gather`, which builds
+    the next level from the relayers' rows concatenated in that order.
+    """
+    level = [(s,)]
+    rounds = []
+    for _ in range(faults):
+        relays = [(i, [k for k, lab in enumerate(level) if i not in lab]) for i in range(m)]
+        relays = [(i, kept) for i, kept in relays if kept]  # all but the source
+        start, row_start = {}, 0
+        for i, kept in relays:
+            start[i], row_start = row_start, row_start + len(kept)
+        level = [lab + (i,) for lab in level for i in range(m) if i not in lab]
+        gather = []  # child lab + (i,) takes the next value of i's row
+        for lab in level:
+            gather.append(start[lab[-1]])
+            start[lab[-1]] += 1
+        positions, keeps, counts = zip(*((i, _select(kept), len(kept)) for i, kept in relays))
+        rounds.append((positions, keeps, counts, _select(gather)))
+    return tuple(rounds)
+
+
 def eig_broadcast(
     sim: Simulation,
     source: int,
@@ -90,44 +134,41 @@ def eig_broadcast(
 
     intents = {} if source in skip else {source: value}
     inbox = sim.round(intents, phase, "eig.source", extra)
-    held = {j: [canon(inbox[j].get(source), value_len)] for j in participants}
-    held[source] = [value]
+    held = {j: (canon(inbox[j].get(source), value_len),) for j in participants}
+    held[source] = (value,)
 
-    level = [(source,)]
-    for _ in range(faults):
-        # counts[i]: the values i relays (all but the source; a skipped i is silent).
-        counts: dict[int, int] = {}
-        intents = {}
-        parsed: dict[tuple[int, str], list[Optional[str]]] = {}  # values in i's payload
-        for i in participants:
-            values = [v for lab, v in zip(level, held[i]) if i not in lab]
-            if values:
-                counts[i] = len(values)
-                if i not in skip:
-                    intents[i] = pack(values, value_len)
-                    parsed[i, intents[i]] = values  # i's own relay needs no parse
+    for positions, keeps, counts, gather in _shape(m, faults, participants.index(source)):
+        relayers = [participants[p] for p in positions]
+        intents = {}  # a skipped relayer is silent
+        parsed: dict[tuple[int, str], Sequence[Optional[str]]] = {}  # values in i's payload
+        for i, keep in zip(relayers, keeps):
+            if i not in skip:
+                values = keep(held[i])
+                intents[i] = pack(values, value_len)
+                parsed[i, intents[i]] = values  # i's own relay needs no parse
         inbox = sim.round(intents, phase, "eig.relay", extra)
         for i, payload in intents.items():
             inbox[i][i] = payload  # i holds its own relay as the protocol meant it
-        level = [lab + (i,) for lab in level for i in participants if i not in lab]
-        relayers = [lab[-1] for lab in level]
-        # Child lab + (i,) takes the next value of i's payload as j holds it.
+        silent = [""] * len(relayers)
+        built: dict[tuple[str, ...], tuple] = {}  # receivers with equal views share a level
         for j in participants:
-            streams = {}
-            for i, count in counts.items():
-                payload = inbox[j].get(i, "")
-                row = parsed.get((i, payload))
-                if row is None:
-                    row = parsed[i, payload] = unpack(payload, count, value_len)
-                streams[i] = iter(row).__next__
-            held[j] = [streams[i]() for i in relayers]
+            view = tuple(map(inbox[j].get, relayers, silent))  # j's payload from each relayer
+            if view not in built:
+                rows: list[Optional[str]] = []
+                for i, count, payload in zip(relayers, counts, view):
+                    row = parsed.get((i, payload))
+                    if row is None:
+                        row = parsed[i, payload] = unpack(payload, count, value_len)
+                    rows.extend(row)
+                built[view] = gather(rows)
+            held[j] = built[view]
 
     default = "0" * value_len
     resolved = {}  # nodes holding equal values resolve once
-    for key in set(map(tuple, held.values())):
+    for key in set(held.values()):
         values = [v or default for v in key]
         # Children blocks grow by one per level toward the root.
         for size in range(m - faults, m):
             values = [_majority(values[k : k + size], default) for k in range(0, len(values), size)]
         resolved[key] = values[0]
-    return {j: resolved[tuple(held[j])] for j in participants}
+    return {j: resolved[held[j]] for j in participants}

@@ -4,7 +4,9 @@ A data block is a tuple of n-2t field symbols, read as the coefficients
 (low degree first) of a polynomial of degree < n-2t.  The codeword is the
 evaluation of that polynomial at the n points a^0, a^1, ..., a^(n-1),
 where a is the field's generator x (the int 2; 1 when c = 1), read from
-the field's power table.  Because two distinct codewords agree on at most
+the field's power table; the encoder keeps the logs of each point's
+powers x^0..x^(n-2t-1), so a codeword symbol is an XOR of exp/log
+products.  Because two distinct codewords agree on at most
 n-2t-1 positions, any view with at least n-2t non-null symbols determines
 at most one consistent codeword, which is what the consistency check
 exploits.
@@ -44,17 +46,24 @@ class RSCode:
         self.field = field
         g = field.generator
         self.points = tuple(field.pow(g, j) for j in range(n))
+        # power_logs[j][d] = log(points[j]^d): no point is 0, so every power has a log.
+        self.power_logs = tuple(
+            tuple(field.log[field.pow(x, d)] for d in range(k)) for x in self.points
+        )
 
     def encode(self, data: Sequence[int]) -> tuple[int, ...]:
         """Evaluate the data polynomial at all n points."""
         if len(data) != self.k:
             raise ValueError(f"data block must have {self.k} symbols")
         f = self.field
+        f._check(*data)
+        exp = f.exp
+        terms = [(d, f.log[a]) for d, a in enumerate(data) if a]
         out = []
-        for x in self.points:
+        for row in self.power_logs:
             acc = 0
-            for coeff in reversed(data):  # Horner
-                acc = f.add(f.mul(acc, x), coeff)
+            for d, log_a in terms:  # sum over d of data[d] * x^d
+                acc ^= exp[log_a + row[d]]
             out.append(acc)
         return tuple(out)
 

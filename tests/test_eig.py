@@ -144,37 +144,54 @@ class RelayFuzzer(Strategy):
 
 
 @st.composite
-def eig_instances(draw):
-    n, t, L = draw(st.sampled_from([(4, 1, 12), (7, 2, 9)]))
+def eig_instances(draw, points, value_lens):
+    # Participants: the source plus at least 3t others, often a proper
+    # subset where n > 3t+1 (as the committee's are), so the source's
+    # position and the participant count vary apart from n.  EIG's shape
+    # cache lives across examples: a shape reused for the wrong
+    # participants fails the comparison.
+    n, t, c, L = draw(st.sampled_from(points))
     nodes = range(1, n + 1)
     source = draw(st.sampled_from(nodes))
-    value_len = draw(st.sampled_from([1, 6]))
+    others = [i for i in nodes if i != source]
+    participants = sorted({source} | draw(st.sets(st.sampled_from(others), min_size=3 * t)))
+    value_len = draw(st.sampled_from(value_lens))
     value = "".join(draw(st.lists(st.sampled_from("01"), min_size=value_len, max_size=value_len)))
     corrupt = draw(st.sets(st.sampled_from(nodes), max_size=t))
-    others = [i for i in nodes if i != source]
-    skip = draw(st.sets(st.sampled_from(others), max_size=t))
+    skip = draw(st.sets(st.sampled_from([i for i in participants if i != source]), max_size=t))
     seed = draw(st.integers(0, 2**16))
-    return n, t, L, source, value, value_len, frozenset(corrupt), frozenset(skip), seed
+    return n, t, c, L, participants, source, value, value_len, frozenset(corrupt), frozenset(skip), seed
 
 
-@settings(max_examples=300, deadline=None)
-@given(eig_instances())
-def test_flat_levels_match_label_keyed_reference(instance):
+def _matches_reference(instance):
     # Twin simulations with fresh strategy instances see the same calls,
     # so any difference in outputs or trace is a difference in EIG.
-    n, t, L, source, value, value_len, corrupt, skip, seed = instance
-    cfg = SystemConfig(n=n, t=t, c=3, L=L, seed=seed)
+    n, t, c, L, participants, source, value, value_len, corrupt, skip, seed = instance
+    cfg = SystemConfig(n=n, t=t, c=c, L=L, seed=seed)
     runs = []
-    nodes = range(1, n + 1)
     calls = (
-        lambda sim: eig_broadcast(sim, source, value, nodes, "DD", "dd", skip=skip),
-        lambda sim: eig_reference.eig_broadcast(sim, source, value, value_len, nodes, t, "DD", "dd", skip=skip),
+        lambda sim: eig_broadcast(sim, source, value, participants, "DD", "dd", skip=skip),
+        lambda sim: eig_reference.eig_broadcast(
+            sim, source, value, value_len, participants, t, "DD", "dd", skip=skip
+        ),
     )
     for call in calls:
         sim = Simulation(cfg, RelayFuzzer(cfg, corrupt=corrupt, seed=seed))
         out = call(sim)
         runs.append((out, [e.as_dict() for e in sim.trace]))
     assert runs[0] == runs[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(eig_instances([(4, 1, 3, 12), (7, 1, 3, 15), (7, 2, 3, 9)], [1, 6]))
+def test_flat_levels_match_label_keyed_reference(instance):
+    _matches_reference(instance)
+
+
+@settings(max_examples=40, deadline=None)
+@given(eig_instances([(10, 3, 4, 16)], [1]))
+def test_flat_levels_match_label_keyed_reference_at_t3(instance):
+    _matches_reference(instance)
 
 
 @st.composite

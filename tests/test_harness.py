@@ -186,6 +186,12 @@ def test_cli_verify_bounds(capsys):
     assert "5/2" in printed and "within (2, 4)" in printed
 
 
+def test_cli_verify_bounds_skips_an_invalid_point(capsys):
+    # n = 4 < 3t + 1 = 7: one SKIP line, exit 1, no traceback.
+    assert main(["verify-bounds", "4", "2", "12"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["SKIP n=4 t=2 L=12: need n >= 3t + 1"]
+
+
 def test_cli_replay(tmp_path, capsys):
     scenario_path = _write_scenario(tmp_path, repetitions=1)
     trace_dir = tmp_path / "traces"

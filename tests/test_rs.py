@@ -39,6 +39,40 @@ def test_encode_examples(code):
     assert code.encode((1, 1)) == (0, 3, 5, 2)
 
 
+def horner(code, data):
+    """The data polynomial at each point by Horner's rule, one field
+    operation at a time (the test oracle for the power-row encoder)."""
+    f = code.field
+    out = []
+    for x in code.points:
+        acc = 0
+        for coeff in reversed(data):
+            acc = f.add(f.mul(acc, x), coeff)
+        out.append(acc)
+    return tuple(out)
+
+
+def test_encode_matches_horner_for_every_block(code):
+    for data in all_blocks(code):
+        assert code.encode(data) == horner(code, data)
+
+
+@pytest.mark.parametrize("n, t, c", [(13, 4, 4), (15, 2, 4), (40, 13, 8), (60, 10, 8)])
+def test_encode_matches_horner_on_random_blocks(n, t, c):
+    code = RSCode(n, t, GF(c))
+    rng = random.Random(n * c)
+    for _ in range(100):
+        data = tuple(rng.randrange(code.field.size) for _ in range(code.k))
+        assert code.encode(data) == horner(code, data)
+    assert code.encode((0,) * code.k) == (0,) * n
+
+
+def test_encode_rejects_a_symbol_outside_the_field(code):
+    for bad in ((8, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            code.encode(bad)
+
+
 def test_reconstruct_examples(code):
     assert code.reconstruct((0, 3, 5, 2), [1, 2]) == (1, 1)
     assert code.reconstruct((1, 1, 1, 1), [3, 4]) == (1, 0)
