@@ -23,24 +23,8 @@ from __future__ import annotations
 
 import random as _random
 import zlib
-from dataclasses import dataclass
-from typing import Mapping
 
-from .channel import Broadcast, Selective, SystemConfig, Transmission
-
-
-@dataclass(frozen=True)
-class SlotCtx:
-    """What a strategy sees of one compromised slot: its tag (below), the
-    sender, every other node as a receiver, the round's `extra` (EIG slots
-    carry {"purpose": ...}) and the fault-free intents of the round, keyed
-    by sender (the rushing view)."""
-
-    tag: str
-    sender: int
-    receivers: tuple[int, ...]
-    extra: Mapping
-    honest_round: Mapping[int, str]
+from .channel import Broadcast, Selective, SlotCtx, SystemConfig, Transmission
 
 
 # Byte b -> "1" iff its top bit is set.

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Optional
 
 from .gf import DEFAULT_POLYNOMIALS
@@ -76,12 +76,12 @@ class SystemConfig:
         return range(2, self.n + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Broadcast:
     payload: str  # bit string; "" means silence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Selective:
     payloads: Mapping[int, str]  # receiver -> bit string
 
@@ -142,9 +142,17 @@ class TrafficMeter:
     @classmethod
     def from_trace(cls, entries: Iterable["TraceEntry"]) -> "TrafficMeter":
         """The meter of the execution that recorded `entries`."""
-        meter = cls()
+        sums: dict[tuple[str, bool], list[int]] = {}
         for e in entries:
-            meter.add(e.honest, e.phase, e.messages, e.bits)
+            acc = sums.get((e.phase, e.honest))
+            if acc is None:
+                sums[e.phase, e.honest] = [e.messages, e.bits]
+            else:
+                acc[0] += e.messages
+                acc[1] += e.bits
+        meter = cls()
+        for (phase, honest), (messages, bits) in sums.items():
+            meter.add(honest, phase, messages, bits)
         return meter
 
     def as_unicast(self, n: int, phases: Iterable[str]) -> "TrafficMeter":
@@ -199,6 +207,20 @@ class DisputeGraph:
         return frozenset(by_degree | self._directly_identified)
 
 
+@dataclass(frozen=True)
+class SlotCtx:
+    """What a strategy sees of one compromised slot: its tag (see
+    `adversaries`), the sender, every other node as a receiver, the
+    round's `extra` (EIG slots carry {"purpose": ...}) and the fault-free
+    intents of the round, keyed by sender (the rushing view)."""
+
+    tag: str
+    sender: int
+    receivers: tuple[int, ...]
+    extra: Mapping
+    honest_round: Mapping[int, str]
+
+
 @dataclass(slots=True)
 class TraceEntry:
     round: int
@@ -223,6 +245,12 @@ class TraceEntry:
         }
 
 
+@cache
+def _others(n: int, sender: int) -> tuple[int, ...]:
+    """Every node of 1..n but the sender, in id order."""
+    return tuple(r for r in range(1, n + 1) if r != sender)
+
+
 def channel_deliver(
     sender: int, tx: Transmission, n: int, faulty: frozenset[int]
 ) -> dict[int, str]:
@@ -235,7 +263,7 @@ def channel_deliver(
     if isinstance(tx, Broadcast):
         if not tx.payload:
             return {}
-        return {r: tx.payload for r in range(1, n + 1) if r != sender}
+        return dict.fromkeys(_others(n, sender), tx.payload)
     if isinstance(tx, Selective):
         if sender not in faulty:
             raise ModelViolation(f"fault-free node {sender} attempted selective send")
@@ -272,27 +300,21 @@ class Simulation:
 
     def round(self, intents: Mapping[int, str], phase: str, tag: str, extra: Optional[dict] = None) -> dict[int, dict[int, str]]:
         """Run one synchronous round; returns per-node inboxes."""
-        from .adversaries import SlotCtx  # local import to avoid a cycle
-
         self.round_no += 1
-        nodes = self.config.nodes
+        n, faulty, trace = self.config.n, self.faulty, self.trace
         senders = sorted(intents)
-        honest_view = {s: intents[s] for s in senders if s not in self.faulty}
-        inboxes: dict[int, dict[int, str]] = {i: {} for i in nodes}
+        honest_view = None  # the rushing view, built at the round's first faulty slot
+        inboxes: dict[int, dict[int, str]] = {i: {} for i in self.config.nodes}
         for slot, s in enumerate(senders, start=1):
-            honest = s not in self.faulty
+            honest = s not in faulty
             if honest:
                 tx = Broadcast(intents[s])
             else:
-                ctx = SlotCtx(
-                    tag=tag,
-                    sender=s,
-                    receivers=tuple(r for r in nodes if r != s),
-                    extra=extra or {},
-                    honest_round=honest_view,
-                )
+                if honest_view is None:
+                    honest_view = {h: intents[h] for h in senders if h not in faulty}
+                ctx = SlotCtx(tag, s, _others(n, s), extra or {}, honest_view)
                 tx = self.strategy.act(ctx, intents[s])
-            delivered = channel_deliver(s, tx, self.config.n, self.faulty)
+            delivered = channel_deliver(s, tx, n, faulty)
             if not delivered:
                 continue
             if isinstance(tx, Broadcast):
@@ -300,9 +322,7 @@ class Simulation:
             else:
                 kind, messages = "selective", len(delivered)
                 bits = sum(map(len, delivered.values()))
-            self.trace.append(
-                TraceEntry(self.round_no, slot, s, kind, bits, phase, honest, messages)
-            )
+            trace.append(TraceEntry(self.round_no, slot, s, kind, bits, phase, honest, messages))
             for r, payload in delivered.items():
                 inboxes[r][s] = payload
         return inboxes

@@ -86,6 +86,7 @@ def db_assemble_view(
     i is in dispute with the source.
     """
     n, c = code.n, code.field.c
+    pairs = disputes.pairs
     view: list[Optional[int]] = [None] * n
     if own is not None:
         view[0] = own[0]
@@ -93,11 +94,11 @@ def db_assemble_view(
     for j in range(2, n + 1):
         if j == i or j in excluded:
             continue
-        if disputes.in_dispute(i, j) or disputes.in_dispute(1, j):
+        if ((i, j) if i < j else (j, i)) in pairs or (1, j) in pairs:
             continue
         payload = received_symbols.get(j, "")
         if payload:
-            view[j - 1] = bits_to_symbols(_pad(payload, c), c)[0]
+            view[j - 1] = int(_pad(payload, c), 2)  # the one c-bit symbol
     nonnull = sum(1 for v in view if v is not None)
     if nonnull < code.k:
         raise ProtocolError(

@@ -1,6 +1,7 @@
 import pytest
 
-from selbroadcast.adversaries import make_strategy
+from selbroadcast import adversaries
+from selbroadcast.adversaries import Strategy, make_strategy
 from selbroadcast.channel import (
     BbOutcome,
     Broadcast,
@@ -8,7 +9,9 @@ from selbroadcast.channel import (
     ModelViolation,
     Selective,
     Simulation,
+    SlotCtx,
     SystemConfig,
+    TraceEntry,
     TrafficMeter,
     channel_deliver,
     check_bb_properties,
@@ -143,3 +146,63 @@ def test_bb_properties_validity_failure():
     verdict = check_bb_properties(out, "0" * 12)
     assert not verdict
     assert verdict.reason == "Validity"
+
+
+class _Recorder(Strategy):
+    """Node 1 is faulty; every act is recorded and answered with one
+    payload per receiver."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.seen = []
+
+    def corrupt_set(self):
+        return frozenset({1})
+
+    def act(self, ctx, honest_payload):
+        self.seen.append((ctx, honest_payload))
+        return Selective({r: honest_payload + str(r % 2) for r in ctx.receivers})
+
+
+class _Untouchable(Strategy):
+    """Node 4 is faulty and must never be asked to act."""
+
+    def corrupt_set(self):
+        return frozenset({4})
+
+    def act(self, ctx, honest_payload):
+        raise AssertionError("act called for a round with no faulty sender")
+
+
+def test_mixed_round_hands_the_strategy_every_honest_intent():
+    config = SystemConfig(n=4, t=1, c=3, L=12)
+    strategy = _Recorder(config)
+    sim = Simulation(config, strategy)
+    # The faulty sender holds the first slot; the honest ones come after it.
+    inboxes = sim.round({3: "11", 1: "10", 2: "01"}, "DB", "alg1.symbol", {"purpose": "x"})
+    assert SlotCtx is adversaries.SlotCtx
+    assert strategy.seen == [
+        (SlotCtx("alg1.symbol", 1, (2, 3, 4), {"purpose": "x"}, {2: "01", 3: "11"}), "10")
+    ]
+    assert inboxes == {
+        1: {2: "01", 3: "11"},
+        2: {1: "100", 3: "11"},
+        3: {1: "101", 2: "01"},
+        4: {1: "100", 2: "01", 3: "11"},
+    }
+    assert sim.trace == [
+        TraceEntry(1, 1, 1, "selective", 9, "DB", False, 3),
+        TraceEntry(1, 2, 2, "broadcast", 2, "DB", True, 1),
+        TraceEntry(1, 3, 3, "broadcast", 2, "DB", True, 1),
+    ]
+
+
+def test_all_honest_round_never_calls_act():
+    config = SystemConfig(n=4, t=1, c=3, L=12)
+    sim = Simulation(config, _Untouchable(config))
+    inboxes = sim.round({1: "1", 2: "", 3: "0"}, "DD", "eig.relay")
+    assert inboxes == {1: {3: "0"}, 2: {1: "1", 3: "0"}, 3: {1: "1"}, 4: {1: "1", 3: "0"}}
+    assert sim.trace == [
+        TraceEntry(1, 1, 1, "broadcast", 1, "DD", True, 1),
+        TraceEntry(1, 3, 3, "broadcast", 1, "DD", True, 1),
+    ]

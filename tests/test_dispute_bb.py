@@ -71,6 +71,10 @@ def test_assemble_view_nulls_disputed_peer(code):
     received = {3: "001", 4: "001"}
     view = db_assemble_view(code, 2, code.encode((1, 0)), received, disputes, frozenset())
     assert view == [1, 1, 1, None]
+    # The other side of the pair (a lower id), and a peer in dispute with the source.
+    disputes.add(1, 3)
+    view = db_assemble_view(code, 4, code.encode((1, 0)), {2: "001", 3: "001"}, disputes, frozenset())
+    assert view == [1, None, None, 1]
 
 
 def test_assemble_view_under_equivocation(code):

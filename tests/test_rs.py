@@ -84,6 +84,71 @@ def test_reconstruct_rejects_bad_subset(code):
         code.reconstruct((1, 1, 1, 1), [1])
     with pytest.raises(ValueError):
         code.reconstruct((1, None, 1, 1), [1, 2])
+    with pytest.raises(ValueError):
+        code.reconstruct((1, 1, 1, 1), [1, 1, 2])  # k = 2 distinct, but 3 entries
+    with pytest.raises(ValueError):
+        code.reconstruct((1, 1, 1, 1), [1, 5])
+
+
+def lagrange(code, xs, ys):
+    """The data block through the points (xs[i], ys[i]), solved afresh
+    one field operation at a time (the test oracle for the cached decoder)."""
+    f = code.field
+    coeffs = [0] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        num, denom = [1], 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                num = [f.mul(a, xj) ^ b for a, b in zip(num + [0], [0] + num)]
+                denom = f.mul(denom, f.add(xi, xj))
+        scale = f.mul(yi, f.inv(denom))
+        for d, cf in enumerate(num):
+            coeffs[d] ^= f.mul(cf, scale)
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("n, t, c", [(7, 2, 3), (13, 4, 4), (40, 13, 8)])
+def test_cached_decoder_matches_a_fresh_lagrange_solve(n, t, c):
+    code = RSCode(n, t, GF(c))  # one code, so later views hit its decoder cache
+    rng = random.Random(n + t + c)
+    size = code.field.size
+    subsets = []
+    for _ in range(150):
+        view = list(code.encode(tuple(rng.randrange(size) for _ in range(code.k))))
+        for p in range(n):
+            r = rng.random()
+            if r < 0.1:
+                view[p] = rng.randrange(size)
+            elif r < 0.3:
+                view[p] = None
+        nonnull = [p for p in range(1, n + 1) if view[p - 1] is not None]
+        if len(nonnull) < code.k:
+            continue
+        first = nonnull[: code.k]
+        data = lagrange(code, [code.points[p - 1] for p in first], [view[p - 1] for p in first])
+        codeword = horner(code, data)
+        consistent = all(codeword[p - 1] == view[p - 1] for p in nonnull)
+        assert code.consistency_check(view) == (data if consistent else None)
+        subset = rng.sample(nonnull, code.k)
+        ys = [view[p - 1] for p in sorted(subset)]
+        expected = lagrange(code, [code.points[p - 1] for p in sorted(subset)], ys)
+        assert code.reconstruct(view, subset) == expected
+        subsets += [tuple(first), tuple(sorted(subset))]
+    assert len(set(subsets)) > 20 and len(set(subsets)) < len(subsets)  # misses and hits
+    # A symbol outside GF(2^c) at a decoding position, with the subset
+    # cached (code) or not (a fresh code).  consistency_check decodes a
+    # view with no null from positions 1..k.
+    subset = subsets[0]
+    for decoder in (code, RSCode(n, t, GF(c))):
+        for bad in (size, -1):
+            view = [0] * n
+            view[subset[-1] - 1] = bad
+            with pytest.raises(ValueError):
+                decoder.reconstruct(view, subset)
+            view = [0] * n
+            view[code.k - 1] = bad
+            with pytest.raises(ValueError):
+                decoder.consistency_check(view)
 
 
 def test_consistency_examples(code):
