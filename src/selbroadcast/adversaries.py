@@ -27,18 +27,10 @@ import zlib
 from .channel import Broadcast, Selective, SlotCtx, SystemConfig, Transmission
 
 
-# Byte b -> "1" iff its top bit is set.
-_TOP_BIT = bytes.maketrans(bytes(range(256)), b"0" * 128 + b"1" * 128)
-
-
 def random_bits(rng: _random.Random, k: int) -> str:
-    """k random bits as a "0"/"1" string, equal to
-    `"".join("01"[rng.getrandbits(1)] for _ in range(k))` and leaving rng
-    in the same state.  CPython's getrandbits(1) is the top bit of one
-    32-bit Mersenne Twister word, and getrandbits(32 * k) packs k such
-    words, the first least significant; so byte 3 of each little-endian
-    word holds the bit."""
-    return rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4].translate(_TOP_BIT).decode()
+    """k random bits as a "0"/"1" string: one `rng.getrandbits(k)` draw
+    written as exactly k base-2 digits, the most significant first."""
+    return format(rng.getrandbits(k), f"0{k}b") if k else ""
 
 
 def _flip(bits: str, index: int = 0) -> str:
@@ -167,9 +159,9 @@ class ClaimLiar(Strategy):
 
 
 class RandomizedByzantine(Strategy):
-    """Replaces every non-silent corrupted slot by independent random
-    per-receiver payloads of the honest payload's length: one
-    `random_bits` call per receiver, in `ctx.receivers` order."""
+    """Replaces every non-silent corrupted slot by a selective send of
+    independent random payloads of the honest payload's length, one
+    `random_bits` draw per receiver in `ctx.receivers` order."""
 
     name = "randomized_byzantine"
 

@@ -27,14 +27,22 @@ from .bounds import (
     total_bb_cost_bits,
 )
 from .channel import TraceEntry, TrafficMeter, generation_size
-from .harness import MetricsRecord, Scenario, grid_scenarios, repetitions, write_csv, write_entries
+from .harness import (
+    MetricsRecord,
+    Scenario,
+    grid_scenarios,
+    pairs,
+    run_pairs,
+    write_csv,
+    write_entries,
+)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, help="CSV output path")
     parser.add_argument("--trace", type=Path, help="directory for JSONL slot logs")
     parser.add_argument("--seed", type=int, help="override the base seed")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel repetitions")
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes for all the runs")
 
 
 def _label(scenario: Scenario, seed: int) -> str:
@@ -44,35 +52,45 @@ def _label(scenario: Scenario, seed: int) -> str:
     )
 
 
+def _report(record: MetricsRecord, trace_dir) -> tuple | None:
+    """Write the record's trace; print PASS, or return its FAIL."""
+    label = _label(record.scenario, record.seed)
+    if trace_dir:
+        path = trace_dir / f"trace_{record.row['algorithm']}_{record.row['strategy']}_{record.seed}_{record.rep}.jsonl"
+        write_entries(record.outcome.trace, path)
+    if not record.passed:
+        return f"FAIL {label} verdict={record.verdict}", record.seed, record.outcome.trace
+    print(f"PASS {label}")
+    return None
+
+
 def _run_and_report(scenarios: list[Scenario], args) -> int:
     """Run the scenarios' repetitions in order until the first exception
-    inside a run, report every record, then that exception."""
-    records: list[MetricsRecord] = []
-    failure = None  # (FAIL line, seed, trace)
-    for scenario in scenarios:
-        seed = scenario.base_seed
-        try:
-            for record in repetitions(scenario, jobs=args.jobs):
-                records.append(record)
-                seed += 1
-        except Exception as exc:  # a FAIL line, with the trace its Simulation attached
-            line = f"FAIL {_label(scenario, seed)} {type(exc).__name__}: {exc}"
-            failure = (line, seed, getattr(exc, "trace", None))
-            break
-    if args.out:
-        write_csv(records, args.out)
+    inside a run.  Each record's trace and PASS line are written as it
+    arrives, up to the first Fail verdict; then the CSV of every record,
+    and the first failure: that verdict or else the exception."""
+    todo = pairs(scenarios)
     trace_dir = args.trace
     if trace_dir:
         trace_dir.mkdir(parents=True, exist_ok=True)
-    for record in records:
-        label = _label(record.scenario, record.seed)
-        if trace_dir:
-            path = trace_dir / f"trace_{record.row['algorithm']}_{record.row['strategy']}_{record.seed}_{record.rep}.jsonl"
-            write_entries(record.outcome.trace, path)
-        if not record.passed:
-            failure = (f"FAIL {label} verdict={record.verdict}", record.seed, record.outcome.trace)
+    records: list[MetricsRecord] = []
+    failure = None  # (FAIL line, seed, trace)
+    runs = run_pairs(todo, jobs=args.jobs)
+    while len(records) < len(todo):
+        try:
+            record = next(runs)
+        except Exception as exc:  # a FAIL line, with the trace its Simulation attached
+            if failure is None:
+                scenario, rep = todo[len(records)]
+                seed = scenario.base_seed + rep
+                line = f"FAIL {_label(scenario, seed)} {type(exc).__name__}: {exc}"
+                failure = (line, seed, getattr(exc, "trace", None))
             break
-        print(f"PASS {label}")
+        records.append(record)
+        if failure is None:
+            failure = _report(record, trace_dir)
+    if args.out:
+        write_csv(records, args.out)
     if failure is None:
         return 0
     line, seed, trace = failure

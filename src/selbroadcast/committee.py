@@ -24,7 +24,6 @@ from typing import Sequence
 from .adversaries import Strategy
 from .channel import (
     BbOutcome,
-    ModelViolation,
     ProtocolError,
     Simulation,
     SystemConfig,
@@ -56,7 +55,7 @@ def majority_vote(values: Sequence[str], t: int) -> str:
         raise ValueError(f"expected exactly {2 * t + 1} values")
     value, count = Counter(values).most_common(1)[0]
     if count < t + 1:
-        raise ModelViolation("no value reached t+1 announcements")
+        raise ProtocolError("no value reached t+1 announcements")
     return value
 
 

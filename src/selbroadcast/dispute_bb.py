@@ -217,15 +217,20 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
             active_peers = [i for i in config.peers if i not in excluded]
             # blocks[i]: the block peer i received; own[i]: its codeword.
             # Both are None when i is in dispute with the source, and i then
-            # stays silent in the symbol slot.
+            # stays silent in the symbol slot.  Each distinct block is
+            # encoded once.
             blocks: dict[int, Optional[Block]] = {}
             own: dict[int, Optional[tuple[int, ...]]] = {}
+            encoded: dict[str, tuple[Block, tuple[int, ...]]] = {}
             for i in active_peers:
                 if disputes.in_dispute(1, i):
                     blocks[i] = own[i] = None
-                else:
-                    blocks[i] = bits_to_symbols(_pad(inbox[i].get(1, ""), D), c)
-                    own[i] = code.encode(blocks[i])
+                    continue
+                bits = _pad(inbox[i].get(1, ""), D)
+                if bits not in encoded:
+                    block = bits_to_symbols(bits, c)
+                    encoded[bits] = block, code.encode(block)
+                blocks[i], own[i] = encoded[bits]
 
             intents = {
                 i: "" if own[i] is None else symbols_to_bits([own[i][i - 1]], c)

@@ -3,7 +3,10 @@
 A scenario pins (n, t, c, L), an algorithm, a strategy and a repetition
 count; repetition k runs with seed base_seed + k and a pseudo-random
 L-bit input derived from that seed, so every record is reproducible
-bit-for-bit.  Repetitions share nothing and may run in parallel.
+bit-for-bit.  Repetitions share nothing: `run_pairs` runs every
+(scenario, repetition) pair of one `run_scenario`, `sweep` or CLI
+invocation in order, through at most one process pool for all of them,
+and yields the same records as a serial run.
 """
 
 from __future__ import annotations
@@ -163,22 +166,27 @@ def run_repetition(scenario: Scenario, rep: int) -> MetricsRecord:
     return MetricsRecord(scenario, rep, seed, str(verdict), outcome, row)
 
 
-def repetitions(scenario: Scenario, jobs: int = 1) -> Iterator[MetricsRecord]:
-    """The scenario's records in repetition order.  An exception raised
-    inside repetition k propagates after records 0..k-1 were yielded, so
-    the caller knows the failing seed."""
-    args = (itertools.repeat(scenario), range(scenario.repetitions))
-    if jobs > 1 and scenario.repetitions > 1:
+def pairs(scenarios: Iterable[Scenario]) -> list[tuple[Scenario, int]]:
+    """Every (scenario, repetition) pair of the scenarios, in run order."""
+    return [(s, rep) for s in scenarios for rep in range(s.repetitions)]
+
+
+def run_pairs(todo: list[tuple[Scenario, int]], jobs: int = 1) -> Iterator[MetricsRecord]:
+    """The records of the pairs, in order, run through at most one process
+    pool.  An exception raised inside pair k propagates after records
+    0..k-1 were yielded, so the caller knows the failing pair; the pairs
+    the pool has not yet handed to a worker are then cancelled."""
+    if jobs > 1 and len(todo) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(run_repetition, *args)
+        with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
+            yield from pool.map(run_repetition, *zip(*todo))
     else:
-        yield from map(run_repetition, *args)
+        yield from itertools.starmap(run_repetition, todo)
 
 
 def run_scenario(scenario: Scenario, jobs: int = 1) -> list[MetricsRecord]:
-    return list(repetitions(scenario, jobs))
+    return list(run_pairs(pairs([scenario]), jobs))
 
 
 def sweep(grid: dict, jobs: int = 1) -> tuple[list[MetricsRecord], list[str]]:
@@ -186,7 +194,7 @@ def sweep(grid: dict, jobs: int = 1) -> tuple[list[MetricsRecord], list[str]]:
     Scenario are reported and skipped; an exception raised while running
     a valid point propagates."""
     scenarios, errors = grid_scenarios(grid)
-    return [record for s in scenarios for record in run_scenario(s, jobs)], errors
+    return list(run_pairs(pairs(scenarios), jobs)), errors
 
 
 def grid_scenarios(grid: dict) -> tuple[list[Scenario], list[str]]:

@@ -80,9 +80,11 @@ def test_unknown_strategy_rejected(config):
 @example(seed=2, k=7)
 @example(seed=3, k=33)
 @example(seed=4, k=2000)
-def test_random_bits_matches_per_bit_draws(seed, k):
-    # The per-bit reference: the only place that draws one bit per call.
-    fast, slow = random.Random(seed), random.Random(seed)
-    expected = "".join("01"[slow.getrandbits(1)] for _ in range(k))
-    assert random_bits(fast, k) == expected
-    assert fast.getstate() == slow.getstate()
+def test_random_bits_is_one_k_bit_draw(seed, k):
+    bits = random_bits(random.Random(seed), k)
+    assert len(bits) == k
+    assert set(bits) <= {"0", "1"}
+    if k == 0:
+        assert bits == ""
+    else:
+        assert int(bits, 2) == random.Random(seed).getrandbits(k)

@@ -7,7 +7,7 @@ import pytest
 
 from selbroadcast import (
     CommitteeLayout,
-    ModelViolation,
+    ProtocolError,
     SystemConfig,
     check_bb_properties,
     committee_layout,
@@ -42,7 +42,7 @@ def test_majority_vote_examples():
 
 def test_majority_vote_requires_quorum():
     # three distinct values among 2t+1 = 3: nothing reaches t+1 = 2
-    with pytest.raises(ModelViolation):
+    with pytest.raises(ProtocolError):
         majority_vote(["0", "1", "2"], 1)
     with pytest.raises(ValueError):
         majority_vote(["1", "1"], 1)

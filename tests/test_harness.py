@@ -261,7 +261,7 @@ def test_cli_replay_rejects_trace_without_message_counts(tmp_path, capsys):
 # each record's JSONL trace and its outputs as sorted JSON, in corpus
 # order.  A change that alters outputs or traces on purpose updates this
 # digest and says so in CHANGES.md.
-CORPUS_DIGEST = "b0762d5b5bfac76ac962c6ff7e1ac537006703d37e8757182d11a363f94652f9"
+CORPUS_DIGEST = "ad3c7168fc6c566d911338725b5228bfda6a55f0e10e2e698fd05ec724ca0510"
 
 
 def test_acceptance_corpus_bytes_are_pinned(tmp_path):
@@ -286,7 +286,7 @@ def test_acceptance_corpus_bytes_are_pinned(tmp_path):
 # acceptance corpus (L <= 18) never reaches: `algo2` at (10,3,4), L=256,
 # relays CORE values thousands of bits long.  Each record's JSONL trace and
 # its outputs as sorted JSON, in order.
-LARGE_PAYLOAD_DIGEST = "08c7b1496f5e2efae3884639738516225a3a09898058b1309a767cbff0de667d"
+LARGE_PAYLOAD_DIGEST = "71b533973162dc7c0926695f6022f8a2d028c5c33bf45ef02ab6ad394ed672b6"
 
 
 def test_large_payload_runs_are_pinned(tmp_path):
@@ -302,6 +302,25 @@ def test_large_payload_runs_are_pinned(tmp_path):
         digest.update(path.read_bytes())
         digest.update(json.dumps(record.outcome.outputs, sort_keys=True).encode())
     assert digest.hexdigest() == LARGE_PAYLOAD_DIGEST
+
+
+def test_sweep_with_two_jobs_writes_what_one_job_writes(tmp_path, capsys):
+    # 16 (scenario, repetition) pairs over 8 scenarios, through one pool
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "n": [7], "t": [2], "c": [3], "L": ["1D"],
+        "algorithm": ["dispute_bb", "algo2"],
+        "strategy": ["honest", "crash_silent", "equivocating_source", "randomized_byzantine"],
+        "repetitions": [2]}))
+    written = {}
+    for jobs in ("1", "2"):
+        out, trace_dir = tmp_path / f"out{jobs}.csv", tmp_path / f"traces{jobs}"
+        argv = ["sweep", str(grid), "--out", str(out), "--trace", str(trace_dir), "--jobs", jobs]
+        assert main(argv) == 0
+        traces = {p.name: p.read_bytes() for p in sorted(trace_dir.iterdir())}
+        written[jobs] = (capsys.readouterr().out, out.read_bytes(), traces)
+    assert len(written["1"][2]) == 16
+    assert written["2"] == written["1"]
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -375,3 +394,30 @@ def test_cli_writes_the_partial_trace_of_a_run_that_raised(tmp_path, capsys, mon
         (1, 1, "DB"), (2, 2, "DB"), (2, 3, "DB"), (2, 4, "DB")]
     assert main(["replay", str(fail)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "4 slots"
+
+
+def test_cli_reports_a_raised_run_alike_with_two_jobs(tmp_path, capsys, monkeypatch):
+    # The sweep case above under --jobs 1 and --jobs 2: the worker's
+    # exception carries the same message and partial trace.  The pool's
+    # workers are forked, so they run the patched eig_broadcast.
+    original = dispute_bb.eig_broadcast
+
+    def broken(sim, *args, **kwargs):
+        if sim.config.seed == 1:
+            raise ProtocolError("raised after the DB rounds")
+        return original(sim, *args, **kwargs)
+
+    monkeypatch.setattr(dispute_bb, "eig_broadcast", broken)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"n": [4], "t": [1], "c": [3], "L": ["1D"], "repetitions": [3]}))
+    reported = {}
+    for jobs in ("1", "2"):
+        work = tmp_path / f"jobs{jobs}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["sweep", str(grid), "--jobs", jobs]) == 1
+        reported[jobs] = (capsys.readouterr().out, (work / "fail_seed1.jsonl").read_bytes())
+    assert reported["1"][0].splitlines()[-1] == (
+        "FAIL n=4 t=1 L=6 dispute_bb/honest seed=1 ProtocolError: raised after the DB rounds"
+        " trace=fail_seed1.jsonl")
+    assert reported["2"] == reported["1"]
