@@ -5,7 +5,8 @@ A fault-free sender can only broadcast: one message, received identically
 and with correct attribution by every other node.  A faulty sender may
 instead deliver a different payload to each receiver ("selective").
 Transmissions never collide and are never lost; an empty payload is
-silence and costs nothing.
+silence and costs nothing.  A sender knows what it meant to send: its own
+inbox holds its intent, never metered, so no protocol re-inserts it.
 
 Traffic by fault-free nodes and traffic by compromised nodes are metered
 separately: reported algorithm complexity covers only nodes following the
@@ -299,13 +300,15 @@ class Simulation:
             exc.trace = self.trace
 
     def round(self, intents: Mapping[int, str], phase: str, tag: str, extra: Optional[dict] = None) -> dict[int, dict[int, str]]:
-        """Run one synchronous round; returns per-node inboxes."""
+        """Run one synchronous round; returns per-node inboxes, in which each
+        scheduled sender holds its own intent, silence included."""
         self.round_no += 1
         n, faulty, trace = self.config.n, self.faulty, self.trace
         senders = sorted(intents)
         honest_view = None  # the rushing view, built at the round's first faulty slot
         inboxes: dict[int, dict[int, str]] = {i: {} for i in self.config.nodes}
         for slot, s in enumerate(senders, start=1):
+            inboxes[s][s] = intents[s]
             honest = s not in faulty
             if honest:
                 tx = Broadcast(intents[s])

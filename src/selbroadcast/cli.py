@@ -5,11 +5,12 @@
   selbroadcast verify-bounds N T L   print the closed-form bound values
   selbroadcast replay <trace.jsonl>  per-phase meter folded from a slot log
 
-Exit code is 0 iff every verdict is Pass.  On the first Fail the suite
-aborts, printing the offending seed and the path of a replayable trace.
-An exception raised inside a run stops the suite too: after the records
-before it, one FAIL line names the run's point, seed and exception, and
-the replayable trace up to the raise, if the run had sent anything.
+Exit code is 0 iff every verdict is Pass.  The first Fail verdict stops
+the suite, with one FAIL line naming the offending seed and the path of a
+replayable trace; so does an exception raised inside a run, with one FAIL
+line naming the run's point, seed and exception, and the replayable trace
+up to the raise, if any.  Later runs are not reported, and those no
+worker has started never start.
 """
 
 from __future__ import annotations
@@ -52,12 +53,14 @@ def _label(scenario: Scenario, seed: int) -> str:
     )
 
 
+_TRACE_NAME = "trace_n{n}_t{t}_c{c}_L{L}_{algorithm}_{strategy}_{seed}_{rep}.jsonl"
+
+
 def _report(record: MetricsRecord, trace_dir) -> tuple | None:
     """Write the record's trace; print PASS, or return its FAIL."""
     label = _label(record.scenario, record.seed)
     if trace_dir:
-        path = trace_dir / f"trace_{record.row['algorithm']}_{record.row['strategy']}_{record.seed}_{record.rep}.jsonl"
-        write_entries(record.outcome.trace, path)
+        write_entries(record.outcome.trace, trace_dir / _TRACE_NAME.format_map(record.row))
     if not record.passed:
         return f"FAIL {label} verdict={record.verdict}", record.seed, record.outcome.trace
     print(f"PASS {label}")
@@ -65,10 +68,10 @@ def _report(record: MetricsRecord, trace_dir) -> tuple | None:
 
 
 def _run_and_report(scenarios: list[Scenario], args) -> int:
-    """Run the scenarios' repetitions in order until the first exception
-    inside a run.  Each record's trace and PASS line are written as it
-    arrives, up to the first Fail verdict; then the CSV of every record,
-    and the first failure: that verdict or else the exception."""
+    """Run the scenarios' repetitions in order until the first Fail
+    verdict or exception inside a run; the runs not yet started then never
+    start.  Each record's trace and PASS line are written as it arrives;
+    then the CSV of every record, and the failure, if any."""
     todo = pairs(scenarios)
     trace_dir = args.trace
     if trace_dir:
@@ -76,19 +79,18 @@ def _run_and_report(scenarios: list[Scenario], args) -> int:
     records: list[MetricsRecord] = []
     failure = None  # (FAIL line, seed, trace)
     runs = run_pairs(todo, jobs=args.jobs)
-    while len(records) < len(todo):
+    while failure is None and len(records) < len(todo):
         try:
             record = next(runs)
         except Exception as exc:  # a FAIL line, with the trace its Simulation attached
-            if failure is None:
-                scenario, rep = todo[len(records)]
-                seed = scenario.base_seed + rep
-                line = f"FAIL {_label(scenario, seed)} {type(exc).__name__}: {exc}"
-                failure = (line, seed, getattr(exc, "trace", None))
+            scenario, rep = todo[len(records)]
+            seed = scenario.base_seed + rep
+            line = f"FAIL {_label(scenario, seed)} {type(exc).__name__}: {exc}"
+            failure = (line, seed, getattr(exc, "trace", None))
             break
         records.append(record)
-        if failure is None:
-            failure = _report(record, trace_dir)
+        failure = _report(record, trace_dir)
+    runs.close()  # cancels the pairs no worker has started
     if args.out:
         write_csv(records, args.out)
     if failure is None:

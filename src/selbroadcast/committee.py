@@ -81,7 +81,7 @@ def run_algorithm2(x: str, config: SystemConfig, strategy: Strategy) -> BbOutcom
 
     with Simulation(config, strategy) as sim:
         inbox = sim.round({1: x}, "SRC", "source_value")
-        received = {i: x if i == 1 else canon(inbox[i].get(1), L) or "0" * L for i in layout.active}
+        received = {i: canon(inbox[i].get(1), L) or "0" * L for i in layout.active}
 
         decisions = eig_core(sim, layout, received)
         fault_free_active = [i for i in layout.active if i not in sim.faulty]

@@ -22,9 +22,9 @@ Each D-bit generation runs three phases:
       claims expose no contradiction at all, every detection announcer
       must itself be faulty and is excluded directly.
 
-Payloads arriving with the wrong length are canonicalized (zero-padded /
-truncated; a missing source block becomes the all-zeros default), so a
-faulty sender can never starve a view below the n-2t guaranteed symbols.
+A payload of the wrong length reads as silence (`eig.canon`); a peer with
+no D-bit source block takes the all-zeros default.  Fault-free symbols
+alone give every fault-free peer's view its n-2t non-null symbols.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .channel import (
     Simulation,
     SystemConfig,
 )
-from .eig import eig_broadcast, pack, unpack
+from .eig import canon, eig_broadcast, pack, unpack
 from .gf import GF
 from .rs import RSCode, bits_to_symbols, symbols_to_bits
 
@@ -62,10 +62,6 @@ class GenerationRecord:
     y_bits: dict[int, str] = field(default_factory=dict)
 
 
-def _pad(bits: str, length: int) -> str:
-    return (bits + "0" * length)[:length]
-
-
 def default_block(k: int) -> Block:
     return (0,) * k
 
@@ -78,27 +74,26 @@ def db_assemble_view(
     disputes: DisputeGraph,
     excluded: frozenset[int],
 ) -> list[Optional[int]]:
-    """Build peer i's symbol vector r_i from the symbol slots.
+    """Build peer i's symbol vector r_i from every symbol slot, i's own too.
 
     Null for every node in dispute with i or with the source, for
-    excluded nodes, and for silent peers.  Positions 1 and i come from
-    `own`, i's re-encoding of the block it received, which is None when
-    i is in dispute with the source.
+    excluded nodes, and for peers that sent no c-bit symbol.  Position 1
+    is the source's point of `own`, i's re-encoding of the block it
+    received, which is None when i is in dispute with the source.
     """
     n, c = code.n, code.field.c
     pairs = disputes.pairs
     view: list[Optional[int]] = [None] * n
     if own is not None:
         view[0] = own[0]
-        view[i - 1] = own[i - 1]
     for j in range(2, n + 1):
-        if j == i or j in excluded:
+        if j in excluded:
             continue
         if ((i, j) if i < j else (j, i)) in pairs or (1, j) in pairs:
             continue
-        payload = received_symbols.get(j, "")
-        if payload:
-            view[j - 1] = int(_pad(payload, c), 2)  # the one c-bit symbol
+        symbol = canon(received_symbols.get(j), c)
+        if symbol:
+            view[j - 1] = int(symbol, 2)
     nonnull = sum(1 for v in view if v is not None)
     if nonnull < code.k:
         raise ProtocolError(
@@ -226,7 +221,7 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
                 if disputes.in_dispute(1, i):
                     blocks[i] = own[i] = None
                     continue
-                bits = _pad(inbox[i].get(1, ""), D)
+                bits = canon(inbox[i].get(1), D) or "0" * D
                 if bits not in encoded:
                     block = bits_to_symbols(bits, c)
                     encoded[bits] = block, code.encode(block)

@@ -29,7 +29,8 @@ round when every relayer sends one payload to all, not m times.
 
 Payload rules, stated once for every module: `canon` (exact length only)
 and the flagged-list codec `pack`/`unpack` (any other length, silence too,
-reads as all absent).  Node j reads relayer i as j holds it (i = j: its own relay).
+reads as all absent).  Node j reads every relayer, itself included, from
+its inbox: the channel gives each sender its own intent.
 """
 
 from __future__ import annotations
@@ -135,7 +136,6 @@ def eig_broadcast(
     intents = {} if source in skip else {source: value}
     inbox = sim.round(intents, phase, "eig.source", extra)
     held = {j: (canon(inbox[j].get(source), value_len),) for j in participants}
-    held[source] = (value,)
 
     for positions, keeps, counts, gather in _shape(m, faults, participants.index(source)):
         relayers = [participants[p] for p in positions]
@@ -145,10 +145,8 @@ def eig_broadcast(
             if i not in skip:
                 values = keep(held[i])
                 intents[i] = pack(values, value_len)
-                parsed[i, intents[i]] = values  # i's own relay needs no parse
+                parsed[i, intents[i]] = values  # an intended relay needs no parse
         inbox = sim.round(intents, phase, "eig.relay", extra)
-        for i, payload in intents.items():
-            inbox[i][i] = payload  # i holds its own relay as the protocol meant it
         silent = [""] * len(relayers)
         built: dict[tuple[str, ...], tuple] = {}  # receivers with equal views share a level
         for j in participants:

@@ -6,7 +6,8 @@ evaluation of that polynomial at the n points a^0, a^1, ..., a^(n-1),
 where a is the field's generator x (the int 2; 1 when c = 1), read from
 the field's power table; the encoder keeps the logs of each point's
 powers x^0..x^(n-2t-1), so a codeword symbol is an XOR of exp/log
-products.  Because two distinct codewords agree on at most
+products, computed by the same log-domain matrix-vector product that
+decoding uses.  Because two distinct codewords agree on at most
 n-2t-1 positions, any view with at least n-2t non-null symbols determines
 at most one consistent codeword, which is what the consistency check
 exploits.
@@ -56,7 +57,7 @@ class RSCode:
         self.power_logs = tuple(
             tuple(field.log[field.pow(x, d)] for d in range(k)) for x in self.points
         )
-        # Decoding tables: 0 gets the log 2*order, past every sum of two
+        # Product tables: 0 gets the log 2*order, past every sum of two
         # real logs (each < order), and _exp reads 0 from there on.
         self._log = [2 * field.order] + field.log[1:]
         self._exp = field.exp + [0] * (2 * field.order + 1)
@@ -66,17 +67,8 @@ class RSCode:
         """Evaluate the data polynomial at all n points."""
         if len(data) != self.k:
             raise ValueError(f"data block must have {self.k} symbols")
-        f = self.field
-        f._check(*data)
-        exp = f.exp
-        terms = [(d, f.log[a]) for d, a in enumerate(data) if a]
-        out = []
-        for row in self.power_logs:
-            acc = 0
-            for d, log_a in terms:  # sum over d of data[d] * x^d
-                acc ^= exp[log_a + row[d]]
-            out.append(acc)
-        return tuple(out)
+        self.field._check(*data)
+        return self._product(data, self.power_logs)
 
     def reconstruct(self, view: PartialView, subset: Sequence[int]) -> tuple[int, ...]:
         """Interpolate the unique data block agreeing with view on subset.
@@ -105,8 +97,13 @@ class RSCode:
             p = positions[ys.index(None)]
             raise ValueError(f"position {p} is null in the view")
         self.field._check(*ys)
+        return self._product(ys, rows)
+
+    def _product(self, vector: Sequence[int], rows) -> tuple[int, ...]:
+        """Entry r: the XOR over i of vector[i] times the element whose log
+        is rows[r][i], with a zero factor read from the sentinel as 0."""
         log, exp = self._log, self._exp
-        logs = [log[y] for y in ys]
+        logs = [log[v] for v in vector]
         out = []
         for row in rows:
             acc = 0

@@ -184,10 +184,11 @@ def test_mixed_round_hands_the_strategy_every_honest_intent():
     assert strategy.seen == [
         (SlotCtx("alg1.symbol", 1, (2, 3, 4), {"purpose": "x"}, {2: "01", 3: "11"}), "10")
     ]
+    # Each sender holds its own intent: the faulty one its protocol payload.
     assert inboxes == {
-        1: {2: "01", 3: "11"},
-        2: {1: "100", 3: "11"},
-        3: {1: "101", 2: "01"},
+        1: {1: "10", 2: "01", 3: "11"},
+        2: {1: "100", 2: "01", 3: "11"},
+        3: {1: "101", 2: "01", 3: "11"},
         4: {1: "100", 2: "01", 3: "11"},
     }
     assert sim.trace == [
@@ -201,7 +202,13 @@ def test_all_honest_round_never_calls_act():
     config = SystemConfig(n=4, t=1, c=3, L=12)
     sim = Simulation(config, _Untouchable(config))
     inboxes = sim.round({1: "1", 2: "", 3: "0"}, "DD", "eig.relay")
-    assert inboxes == {1: {3: "0"}, 2: {1: "1", 3: "0"}, 3: {1: "1"}, 4: {1: "1", 3: "0"}}
+    # A silent sender holds its silence; it is neither delivered nor metered.
+    assert inboxes == {
+        1: {1: "1", 3: "0"},
+        2: {1: "1", 2: "", 3: "0"},
+        3: {1: "1", 3: "0"},
+        4: {1: "1", 3: "0"},
+    }
     assert sim.trace == [
         TraceEntry(1, 1, 1, "broadcast", 1, "DD", True, 1),
         TraceEntry(1, 3, 3, "broadcast", 1, "DD", True, 1),

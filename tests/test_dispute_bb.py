@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from selbroadcast.adversaries import make_strategy, random_bits
+from selbroadcast import dispute_bb
+from selbroadcast.adversaries import Strategy, make_strategy, random_bits
 from selbroadcast.channel import (
+    Broadcast,
     DisputeGraph,
     ProtocolError,
     Simulation,
@@ -60,7 +62,7 @@ def test_peer_symbol_payload(monkeypatch):
 
 
 def test_assemble_view_honest(code):
-    received = {3: "001", 4: "001"}
+    received = {2: "001", 3: "001", 4: "001"}  # peer 2 holds its own symbol too
     view = db_assemble_view(code, 2, code.encode((1, 0)), received, DisputeGraph(1), frozenset())
     assert view == [1, 1, 1, 1]
 
@@ -68,21 +70,60 @@ def test_assemble_view_honest(code):
 def test_assemble_view_nulls_disputed_peer(code):
     disputes = DisputeGraph(1)
     disputes.add(2, 4)
-    received = {3: "001", 4: "001"}
+    received = {2: "001", 3: "001", 4: "001"}
     view = db_assemble_view(code, 2, code.encode((1, 0)), received, disputes, frozenset())
     assert view == [1, 1, 1, None]
     # The other side of the pair (a lower id), and a peer in dispute with the source.
     disputes.add(1, 3)
-    view = db_assemble_view(code, 4, code.encode((1, 0)), {2: "001", 3: "001"}, disputes, frozenset())
+    view = db_assemble_view(code, 4, code.encode((1, 0)), {2: "001", 3: "001", 4: "001"}, disputes, frozenset())
     assert view == [1, None, None, 1]
 
 
 def test_assemble_view_under_equivocation(code):
     # source sent u=(1,0) to p2, p3 and v=(0,1) to p4: p4's symbol slot
     # carries encode(v)[4] = 3
-    received = {3: "001", 4: "011"}
+    received = {2: "001", 3: "001", 4: "011"}
     view = db_assemble_view(code, 2, code.encode((1, 0)), received, DisputeGraph(1), frozenset())
     assert view == [1, 1, 1, 3]
+
+
+class _ShortPayloads(Strategy):
+    """`node` sends its Detectable Broadcast payload `cut` bits short."""
+
+    name = "short_payloads"
+
+    def corrupt_set(self):
+        return frozenset({self.params["node"]})
+
+    def act(self, ctx, honest_payload):
+        if ctx.tag in ("source_value", "alg1.symbol"):
+            return Broadcast(honest_payload[: -self.params["cut"]])
+        return Broadcast(honest_payload)
+
+
+def test_wrong_length_db_payloads_read_as_silence(monkeypatch):
+    views = {}
+    original = dispute_bb.db_assemble_view
+
+    def spy(code, i, *args):
+        views[i] = view = original(code, i, *args)
+        return view
+
+    monkeypatch.setattr(dispute_bb, "db_assemble_view", spy)
+    cfg = SystemConfig(n=4, t=1, c=3, L=6)
+    x = "001000"  # codeword (1, 1, 1, 1)
+    # Peer 3 sends a 2-bit symbol: a null entry, not a zero-padded "000".
+    out = run_byzantine_broadcast(x, cfg, _ShortPayloads(cfg, node=3, cut=1))
+    assert views[2] == [1, 1, None, 1] and views[4] == [1, 1, None, 1]
+    assert not out.generations[0].dc_invoked
+    assert check_bb_properties(out, x)
+    # The source sends a 4-bit block "1011": every peer takes the all-zeros
+    # default, not the zero-padded "101100".
+    x = "101101"
+    out = run_byzantine_broadcast(x, cfg, _ShortPayloads(cfg, node=1, cut=2))
+    assert out.generations[0].z == {2: (0, 0), 3: (0, 0), 4: (0, 0)}
+    assert out.outputs == {2: "000000", 3: "000000", 4: "000000"}
+    assert check_bb_properties(out, x)
 
 
 def test_resolve_unique_and_detected(code):

@@ -18,7 +18,7 @@ from selbroadcast import (
     write_trace,
 )
 from selbroadcast import dispute_bb, harness
-from selbroadcast.channel import ProtocolError, TraceEntry
+from selbroadcast.channel import ProtocolError, TraceEntry, Verdict
 from selbroadcast.cli import main
 
 METER_COLUMNS = ("honest_messages", "honest_bits", "adversary_messages", "adversary_bits")
@@ -177,6 +177,50 @@ def test_cli_sweep(tmp_path, capsys):
     assert main(["sweep", str(path), "--out", str(tmp_path / "sweep.csv")]) == 0
     printed = capsys.readouterr().out
     assert printed.count("PASS") == 4
+
+
+def test_sweep_over_two_points_leaves_one_trace_per_record(tmp_path, capsys):
+    # (4,1) and (7,2), both algorithms, 2 strategies, 2 repetitions: 16
+    # records whose algorithm, strategy, seed and rep repeat across points
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "n": [4, 7], "t": ["max"], "c": [3], "L": ["1D"],
+        "algorithm": ["dispute_bb", "algo2"], "strategy": ["honest", "crash_silent"],
+        "repetitions": [2]}))
+    out, trace_dir = tmp_path / "out.csv", tmp_path / "traces"
+    assert main(["sweep", str(grid), "--out", str(out), "--trace", str(trace_dir)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 16
+    assert len(list(trace_dir.glob("*.jsonl"))) == len(rows)
+    assert (trace_dir / "trace_n7_t2_c3_L9_algo2_crash_silent_1_1.jsonl").exists()
+
+
+def test_cli_stops_at_the_first_fail_verdict(tmp_path, capsys, monkeypatch):
+    # Seed 1 of 4 gets a Fail verdict: the CLI prints it with its trace,
+    # writes the CSV up to it and never runs seeds 2-3.
+    checked = []
+    original = harness.check_bb_properties
+
+    def failing(outcome, x):
+        checked.append(outcome.config.seed)
+        if outcome.config.seed == 1:
+            return Verdict(False, "Validity", (2, 3, 4))
+        return original(outcome, x)
+
+    monkeypatch.setattr(harness, "check_bb_properties", failing)
+    out_csv, trace_dir = tmp_path / "out.csv", tmp_path / "traces"
+    argv = ["run", str(_write_scenario(tmp_path, repetitions=4)),
+            "--out", str(out_csv), "--trace", str(trace_dir)]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS n=4 t=1 L=12 dispute_bb/honest seed=0",
+        f"FAIL n=4 t=1 L=12 dispute_bb/honest seed=1 verdict=Fail(Validity)"
+        f" trace={trace_dir / 'fail_seed1.jsonl'}",
+    ]
+    assert checked == [0, 1]
+    assert len(out_csv.read_text().splitlines()) == 3  # header + seeds 0 and 1
+    assert (trace_dir / "fail_seed1.jsonl").read_bytes() == (
+        trace_dir / "trace_n4_t1_c3_L12_dispute_bb_honest_1_1.jsonl").read_bytes()
 
 
 def test_cli_verify_bounds(capsys):
