@@ -7,6 +7,7 @@ from .bounds import (
     bit_cost_ratio,
     check_bounds,
     detectable_cost_bits,
+    honest_messages,
     message_lower_bound,
     modular_bound,
     static_db_lower_bound_bits,
@@ -76,6 +77,7 @@ __all__ = [
     "bit_cost_ratio",
     "static_db_lower_bound_bits",
     "message_lower_bound",
+    "honest_messages",
     "ModularBoundParams",
     "modular_bound",
     "check_bounds",

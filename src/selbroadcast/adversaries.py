@@ -13,9 +13,12 @@ Slot tags used by the protocols:
   "source_value"  the source's value slot (the opening broadcast of both
                   protocols)
   "alg1.symbol"   a peer's coded-symbol slot in Detectable Broadcast
-  "eig.source"    round 1 of an EIG broadcast; ctx.extra["purpose"] is one
-                  of "dd", "dc_value", "dc_claim", "core"
-  "eig.relay"     a relay round of an EIG broadcast
+  "eig.source"    round 1 of an EIG batch: one slot per source, carrying
+                  that source's value; ctx.extra["purpose"] is one of
+                  "dd", "dc_value", "dc_claim", "core"
+  "eig.relay"     a relay round of an EIG batch: one slot per relayer,
+                  its relays of every instance it does not source
+                  concatenated in ascending source order (`eig`)
   "announce"      an announcer slot in the committee algorithm
 """
 

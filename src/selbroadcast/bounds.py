@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .channel import BbOutcome
+from .channel import BbOutcome, generation_size
 
 
 def detectable_cost_bits(n: int, t: int, D: int) -> Fraction:
@@ -53,6 +53,32 @@ def message_lower_bound(t: int) -> int:
     if t < 0:
         raise ValueError("t must be non-negative")
     return t + 1
+
+
+def honest_messages(n: int, t: int, L: int, algorithm: str, c: int | None = None) -> int:
+    """Fault-free messages of an honest run (no node faulty).
+
+    dispute_bb: (L/D)·n(t+2).  Each D-bit generation is the source's
+    block and n-1 coded symbols, then t+1 rounds of one slot per node
+    for the n batched detection flags.  D = c(n-2t), where c defaults
+    to the smallest with n <= 2^c - 1.
+
+    algo2: 1 + (3t+1)(1+3t²) + (2t+1), whatever n and L.  It is the
+    source's value, one EIG instance per committee member (its value,
+    then t relay rounds of 3t slots), and the 2t+1 announcements.
+    """
+    if t < 0 or n < 3 * t + 1:
+        raise ValueError("need n >= 3t + 1")
+    if L <= 0:
+        raise ValueError("L must be positive")
+    if algorithm == "algo2":
+        return 1 + (3 * t + 1) * (1 + 3 * t * t) + (2 * t + 1)
+    if algorithm == "dispute_bb":
+        D = generation_size(n, t, c or n.bit_length())
+        if L % D:
+            raise ValueError(f"L must be a multiple of D = {D}")
+        return L // D * n * (t + 2)
+    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from pathlib import Path
 
 from .bounds import (
     bit_cost_ratio,
     detectable_cost_bits,
+    honest_messages,
     message_lower_bound,
     static_db_lower_bound_bits,
     total_bb_cost_bits,
@@ -131,6 +133,7 @@ def _cmd_verify_bounds(args) -> int:
         total = total_bb_cost_bits(n, t, L)
         static = static_db_lower_bound_bits(n, f, L)
         floor = message_lower_bound(t)
+        committee = honest_messages(n, t, L, "algo2")
     except ValueError as exc:
         print(f"SKIP n={n} t={t} L={L}: {exc}")
         return 1
@@ -141,22 +144,53 @@ def _cmd_verify_bounds(args) -> int:
     print(f"total_bb_cost_bits(n, t, L)   = {total}")
     print(f"bit cost ratio                = {ratio} ({'within' if in_range else 'OUTSIDE'} (2, 4))")
     print(f"message_lower_bound(t)        = {floor}")
+    try:  # defined only when L is a multiple of D
+        print(f"honest_messages(dispute_bb)   = {honest_messages(n, t, L, 'dispute_bb', c)}")
+    except ValueError as exc:
+        print(f"honest_messages(dispute_bb)   = none ({exc})")
+    print(f"honest_messages(algo2)        = {committee}")
     print(f"static_db_lower_bound(n, f={f}, L) = {static}")
     return 0 if (in_range or t == 0) else 1
 
 
+_TRACE_TYPES = typing.get_type_hints(TraceEntry)  # field -> its type
+
+
+def _refuse(reason: str) -> int:
+    print(reason, file=sys.stderr)
+    return 1
+
+
 def _cmd_replay(args) -> int:
+    """Fold a trace into its per-phase meter; a file or line that is not a
+    trace is reported as one `path[:lineno]: reason` line, exit 1."""
+    try:
+        text = Path(args.trace).read_text()
+    except OSError as exc:
+        return _refuse(f"{args.trace}: {exc.strerror or exc}")
+    except UnicodeDecodeError:
+        return _refuse(f"{args.trace}: not a text file")
     entries = []
-    for lineno, line in enumerate(Path(args.trace).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        fields = json.loads(line)
+        where = f"{args.trace}:{lineno}"
+        try:
+            fields = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return _refuse(f"{where}: not JSON ({exc.msg})")
+        if not isinstance(fields, dict):
+            return _refuse(f"{where}: not a JSON object")
         # A line without "messages" predates per-receiver counts: its
         # selective sends cannot be folded into the meter.
         if "messages" not in fields:
-            print(f"{args.trace}:{lineno}: no \"messages\" field; re-run to get a replayable trace",
-                  file=sys.stderr)
-            return 1
+            return _refuse(f"{where}: no \"messages\" field; re-run to get a replayable trace")
+        wrong = [f"unknown field {k!r}" for k in sorted(fields.keys() - _TRACE_TYPES.keys())]
+        wrong += [f"no {k!r} field" for k in sorted(_TRACE_TYPES.keys() - fields.keys())]
+        wrong += [f"{k!r} is not {t.__name__}" for k, t in _TRACE_TYPES.items()
+                  if k in fields and type(fields[k]) is not t]
+        if wrong:
+            return _refuse(f"{where}: {', '.join(wrong)}")
         entries.append(TraceEntry(**fields))
     meter = TrafficMeter.from_trace(entries)
     print(f"{len(entries)} slots")

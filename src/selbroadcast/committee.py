@@ -9,10 +9,17 @@ n once n > 3t+1.
 
 The consensus core has every active node EIG-broadcast its received
 value inside the committee and decides by plurality over the agreed
-vector (ties broken toward the smallest value).  Every step in which a
-fault-free node would send identical messages to several receivers is a
-single channel broadcast; `outcome.meter.as_unicast(n, {"CORE"})` gives the
-point-to-point cost of the same core.
+vector (ties broken toward the smallest value).  Each value passes one
+EIG instance per call, not one batch: the values are L bits long, and a
+batch keeps every instance's levels alive at once.  A prototype that
+batched the core and dispute_bb's DC raised the `committee_byzantine`
+benchmark's peak memory from 27.3 to 34.7 MB, and that of a (13,4,4),
+L=20 `randomized_byzantine` `dispute_bb` run from 39.7 to 149.5 MB.
+
+Every step in which a fault-free node would send identical messages to
+several receivers is a single channel broadcast;
+`outcome.meter.as_unicast(n, {"CORE"})` gives the point-to-point cost of
+the same core.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ def _plurality(values: Sequence[str]) -> str:
 def eig_core(sim: Simulation, layout: CommitteeLayout, received: dict[int, str]) -> dict[int, str]:
     """Consensus core: one EIG instance per active node over its received
     value; decide the plurality of the agreed vector."""
-    results = [eig_broadcast(sim, s, received[s], layout.active, "CORE", "core") for s in layout.active]
+    results = [eig_broadcast(sim, {s: received[s]}, layout.active, "CORE", "core")[s] for s in layout.active]
     return {i: _plurality([res[i] for res in results]) for i in layout.active}
 
 

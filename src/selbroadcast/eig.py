@@ -13,6 +13,15 @@ holds for that label.  After t+1 rounds each node resolves the tree
 bottom-up by strict majority with an all-zeros default on ties or
 missing values.
 
+Batch: one call runs one instance per source of its `values`, all over
+the same participants and `skip`, in the same t+1 rounds, so a node
+sends at most one slot per round.  Round 1 gives each source one slot,
+its value.  In relay round r (1..t) each relayer sends one payload: for
+each instance it does not source, in ascending source order, its relays
+of that instance `pack`ed, (m-2)!/(m-1-r)! values of 1+width bits with m
+participants.  A payload of any other total length reads as absent in
+every instance.  A one-entry batch is one instance, slot for slot.
+
 Layout: each node holds one tuple of values per tree depth, in the label
 order `[lab + (i,) for lab in level for i in participants if i not in lab]`,
 so the children of a value form one contiguous block and every block of
@@ -23,9 +32,12 @@ by node id: per relay round, the positions each relayer relays (an
 `itemgetter` over its level) and one gather permutation that builds the
 next level from the relayers' rows concatenated in participant order.
 No call looks at a label.  A node's next level is a function of its view
-alone, the payload it holds from each relayer, so it is built once per
+alone, the payloads it holds from the relayers, so it is built once per
 distinct view and shared by the receivers that hold that view: once per
-round when every relayer sends one payload to all, not m times.
+round when every relayer sends one payload to all, not m times.  `_plan`
+caches a batch's layout per round beside the shapes.  The last level is
+built and resolved one instance at a time, so only one instance's last
+level is alive at once.
 
 Payload rules, stated once for every module: `canon` (exact length only)
 and the flagged-list codec `pack`/`unpack` (any other length, silence too,
@@ -37,7 +49,7 @@ from __future__ import annotations
 
 from functools import cache
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .channel import Simulation
 
@@ -52,7 +64,7 @@ def canon(payload: Optional[str], length: int) -> Optional[str]:
 def pack(values: Sequence[Optional[str]], width: int) -> str:
     """Each value as a 1 flag and its `width` bits; None as `width`+1 zeros."""
     absent = "0" * (1 + width)
-    return "".join(absent if v is None else "1" + v for v in values)
+    return "".join([absent if v is None else "1" + v for v in values])
 
 
 def unpack(payload: str, count: int, width: int) -> list[Optional[str]]:
@@ -87,8 +99,9 @@ def _shape(m: int, faults: int, s: int) -> tuple:
 
     Per relay round: the relayers' positions, in participant order; for
     each, `keep`, which reads from its level the values it relays (those
-    at labels without it), and their count; and `gather`, which builds
-    the next level from the relayers' rows concatenated in that order.
+    at labels without it); the count of values each relayer relays, the
+    same for all; and `gather`, which builds the next level from the
+    relayers' rows concatenated in that order.
     """
     level = [(s,)]
     rounds = []
@@ -103,70 +116,130 @@ def _shape(m: int, faults: int, s: int) -> tuple:
         for lab in level:
             gather.append(start[lab[-1]])
             start[lab[-1]] += 1
-        positions, keeps, counts = zip(*((i, _select(kept), len(kept)) for i, kept in relays))
-        rounds.append((positions, keeps, counts, _select(gather)))
+        positions, keeps = zip(*((i, _select(kept)) for i, kept in relays))
+        rounds.append((positions, keeps, len(relays[0][1]), _select(gather)))
     return tuple(rounds)
 
 
-def eig_broadcast(
-    sim: Simulation,
-    source: int,
-    value: str,
-    participants: Sequence[int],
-    phase: str,
-    purpose: str,
-    skip: frozenset[int] = frozenset(),
-) -> dict[int, str]:
-    """Run one EIG instance of `value` against sim.config.t faults; returns
-    each participant's resolved output.  A received value counts only at
-    len(value) bits.
+@cache
+def _plan(m: int, faults: int, sources: tuple[int, ...], widths: tuple[int, ...]) -> tuple:
+    """The batch plan of instances whose sources sit at positions
+    `sources` (ascending) with value widths `widths`, cached once per
+    batch a process meets, beside the shapes it reads.
 
-    `skip` holds nodes excluded from transmitting (already identified as
-    faulty); their tree positions resolve to the default.
+    Per relay round: `senders`, for each relayer position in ascending
+    order, its payload's length and the (instance, keep) of each instance
+    it relays, in ascending source order; and per instance, for each of
+    its relayers in participant order, (index among the senders, start,
+    stop) of the instance's part of that relayer's payload, then the
+    count of values in a part and the instance's `gather`.
     """
-    value_len, faults = len(value), sim.config.t
-    participants = tuple(sorted(participants))
-    if source not in participants:
-        raise ValueError("source must participate")
-    if len(participants) < 3 * faults + 1:
-        raise ValueError("need at least 3t+1 participants")
-    m = len(participants)
-    extra = {"purpose": purpose}
+    shapes = [_shape(m, faults, s) for s in sources]
+    rounds = []
+    for r in range(faults):
+        steps = [shape[r] for shape in shapes]
+        relayers = sorted({p for positions, _, _, _ in steps for p in positions})
+        index = {p: x for x, p in enumerate(relayers)}
+        relays: list[list] = [[] for _ in relayers]  # per relayer, its (instance, keep)s
+        length = [0] * len(relayers)  # per relayer, its payload length so far
+        instances = []
+        for k, ((positions, keeps, count, gather), width) in enumerate(zip(steps, widths)):
+            size, parts = count * (1 + width), []
+            for p, keep in zip(positions, keeps):
+                x = index[p]
+                relays[x].append((k, keep))
+                parts.append((x, length[x], length[x] + size))
+                length[x] += size
+            instances.append((tuple(parts), count, gather))
+        rounds.append((tuple(zip(relayers, length, map(tuple, relays))), tuple(instances)))
+    return tuple(rounds)
 
-    intents = {} if source in skip else {source: value}
-    inbox = sim.round(intents, phase, "eig.source", extra)
-    held = {j: (canon(inbox[j].get(source), value_len),) for j in participants}
 
-    for positions, keeps, counts, gather in _shape(m, faults, participants.index(source)):
-        relayers = [participants[p] for p in positions]
-        intents = {}  # a skipped relayer is silent
-        parsed: dict[tuple[int, str], Sequence[Optional[str]]] = {}  # values in i's payload
-        for i, keep in zip(relayers, keeps):
-            if i not in skip:
-                values = keep(held[i])
-                intents[i] = pack(values, value_len)
-                parsed[i, intents[i]] = values  # an intended relay needs no parse
-        inbox = sim.round(intents, phase, "eig.relay", extra)
-        silent = [""] * len(relayers)
-        built: dict[tuple[str, ...], tuple] = {}  # receivers with equal views share a level
-        for j in participants:
-            view = tuple(map(inbox[j].get, relayers, silent))  # j's payload from each relayer
-            if view not in built:
-                rows: list[Optional[str]] = []
-                for i, count, payload in zip(relayers, counts, view):
-                    row = parsed.get((i, payload))
-                    if row is None:
-                        row = parsed[i, payload] = unpack(payload, count, value_len)
-                    rows.extend(row)
-                built[view] = gather(rows)
-            held[j] = built[view]
-
-    default = "0" * value_len
-    resolved = {}  # nodes holding equal values resolve once
-    for key in set(held.values()):
+def _resolve(level: dict[int, tuple], m: int, faults: int, width: int) -> dict[int, str]:
+    """Each node's output, its last level voted bottom-up; nodes holding
+    equal levels resolve once."""
+    default = "0" * width
+    resolved = {}
+    for key in set(level.values()):
         values = [v or default for v in key]
         # Children blocks grow by one per level toward the root.
         for size in range(m - faults, m):
             values = [_majority(values[k : k + size], default) for k in range(0, len(values), size)]
         resolved[key] = values[0]
-    return {j: resolved[held[j]] for j in participants}
+    return {j: resolved[key] for j, key in level.items()}
+
+
+def eig_broadcast(
+    sim: Simulation,
+    values: Mapping[int, str],
+    participants: Sequence[int],
+    phase: str,
+    purpose: str,
+    skip: frozenset[int] = frozenset(),
+) -> dict[int, dict[int, str]]:
+    """Run one EIG instance per entry source -> value of `values`, as one
+    batch against sim.config.t faults; returns, per source, each
+    participant's resolved output.  A received value counts only at
+    len(value) bits, the instance's width.
+
+    `skip` holds nodes excluded from transmitting (already identified as
+    faulty); their tree positions resolve to the default.
+    """
+    faults = sim.config.t
+    participants = tuple(sorted(participants))
+    sources = sorted(values)
+    if not sources or not set(sources) <= set(participants):
+        raise ValueError("every source must participate")
+    if len(participants) < 3 * faults + 1:
+        raise ValueError("need at least 3t+1 participants")
+    m = len(participants)
+    widths = tuple(len(values[s]) for s in sources)
+    extra = {"purpose": purpose}
+
+    inbox = sim.round({s: values[s] for s in sources if s not in skip}, phase, "eig.source", extra)
+    held = [{j: (canon(inbox[j].get(s), w),) for j in participants} for s, w in zip(sources, widths)]
+    outputs = {}
+    plan = _plan(m, faults, tuple(map(participants.index, sources)), widths)
+    for r, (senders, instances) in enumerate(plan, start=1):
+        relayers = [participants[p] for p, _, _ in senders]
+        intents = {}  # a skipped relayer is silent
+        relayed = {}  # (relayer index, instance) -> the values its intent carries
+        for x, (i, (_, _, relays)) in enumerate(zip(relayers, senders)):
+            if i not in skip:
+                parts = []
+                for k, keep in relays:
+                    row = relayed[x, k] = keep(held[k][i])
+                    parts.append(pack(row, widths[k]))
+                intents[i] = "".join(parts)
+        inbox = sim.round(intents, phase, "eig.relay", extra)
+        silent = [""] * len(relayers)
+        views: dict[tuple[str, ...], list[int]] = {}  # receivers with equal views share levels
+        for j in participants:
+            views.setdefault(tuple(map(inbox[j].get, relayers, silent)), []).append(j)
+        for k, (parts, count, gather) in enumerate(instances):
+            width, level, absent = widths[k], held[k], [None] * count
+            parsed = {}  # (relayer index, payload) -> its values of instance k
+            for x, _, _ in parts:
+                if (x, k) in relayed:  # an intended relay needs no parse
+                    parsed[x, intents[relayers[x]]] = relayed[x, k]
+            for view, receivers in views.items():
+                rows: list[Optional[str]] = []
+                for x, start, stop in parts:
+                    payload = view[x]
+                    row = parsed.get((x, payload))
+                    if row is None:  # a payload of the wrong total length is absent throughout
+                        row = parsed[x, payload] = (
+                            unpack(payload[start:stop], count, width)
+                            if len(payload) == senders[x][1]
+                            else absent
+                        )
+                    rows.extend(row)
+                built = gather(rows)
+                for j in receivers:
+                    level[j] = built
+            if r == faults:  # resolved now, so one instance's last level is alive at a time
+                outputs[sources[k]] = _resolve(level, m, faults, width)
+                held[k] = None
+    if not faults:
+        outputs = {s: _resolve(level, m, faults, w) for s, level, w in zip(sources, held, widths)}
+    return outputs

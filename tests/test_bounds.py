@@ -9,11 +9,16 @@ from hypothesis import strategies as st
 
 from selbroadcast import (
     ModularBoundParams,
+    SystemConfig,
     bit_cost_ratio,
     detectable_cost_bits,
+    honest_messages,
+    make_strategy,
     message_lower_bound,
     modular_bound,
     static_db_lower_bound_bits,
+    run_algorithm2,
+    run_byzantine_broadcast,
     total_bb_cost_bits,
 )
 
@@ -56,6 +61,24 @@ def test_message_lower_bound():
     assert message_lower_bound(5) == 6
 
 
+def test_honest_messages_examples():
+    assert honest_messages(10, 3, 160, "algo2") == 288
+    assert honest_messages(31, 3, 8, "algo2") == 288  # independent of n and L
+    assert honest_messages(10, 3, 160, "dispute_bb") == 500  # 10 generations of 10 * 5
+    assert honest_messages(4, 1, 12, "dispute_bb") == 24
+    assert honest_messages(4, 1, 16, "dispute_bb", c=4) == 24  # D = 8: two generations of 4 * 3
+
+
+@pytest.mark.parametrize("n, t, c", [(4, 1, 3), (7, 2, 3), (10, 3, 4)])
+@pytest.mark.parametrize("generations", [1, 2])
+@pytest.mark.parametrize("algorithm, run", [("dispute_bb", run_byzantine_broadcast), ("algo2", run_algorithm2)])
+def test_honest_run_sends_the_closed_form_message_count(n, t, c, generations, algorithm, run):
+    config = SystemConfig(n=n, t=t, c=c, L=generations * c * (n - 2 * t))
+    x = "10" * (config.L // 2) + "1" * (config.L % 2)
+    outcome = run(x, config, make_strategy("honest", config))
+    assert outcome.meter.honest_messages == honest_messages(n, t, config.L, algorithm, c)
+
+
 def test_modular_bound_examples():
     cubic = lambda m: m**3
     assert modular_bound(ModularBoundParams(B=3, i=0, alpha=1, m_star=cubic), 4) == 2197
@@ -84,6 +107,12 @@ def test_validation_errors():
         static_db_lower_bound_bits(4, 4, 6)  # f >= n
     with pytest.raises(ValueError):
         message_lower_bound(-1)
+    with pytest.raises(ValueError):
+        honest_messages(4, 1, 16, "dispute_bb")  # L not a multiple of D = 6
+    with pytest.raises(ValueError):
+        honest_messages(6, 2, 8, "algo2")  # n < 3t + 1
+    with pytest.raises(ValueError):
+        honest_messages(4, 1, 12, "unknown")
     with pytest.raises(ValueError):
         modular_bound(ModularBoundParams(B=1, i=0, alpha=1, m_star=lambda m: m), 4)
     with pytest.raises(ValueError):

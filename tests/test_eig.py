@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -54,14 +55,14 @@ class CollusionPair(Strategy):
 
 def test_honest_source_all_agree():
     sim = sim_for(4, 1, 3, 12)
-    out = eig_broadcast(sim, 1, "1", range(1, 5), "DD", "dd")
+    out = eig_broadcast(sim, {1: "1"}, range(1, 5), "DD", "dd")[1]
     assert out == {1: "1", 2: "1", 3: "1", 4: "1"}
 
 
 def test_faulty_source_agreement():
     cfg = SystemConfig(n=4, t=1, c=3, L=12)
     sim = Simulation(cfg, SplitSource(cfg))
-    out = eig_broadcast(sim, 1, "1", range(1, 5), "DD", "dd")
+    out = eig_broadcast(sim, {1: "1"}, range(1, 5), "DD", "dd")[1]
     # all fault-free outputs must be equal (validity is vacuous)
     assert out[2] == out[3] == out[4]
 
@@ -70,36 +71,48 @@ def test_collusion_agreement_many_seeds():
     for seed in range(100):
         cfg = SystemConfig(n=7, t=2, c=3, L=9, seed=seed)
         sim = Simulation(cfg, CollusionPair(cfg))
-        out = eig_broadcast(sim, 1, "101", range(1, 8), "DD", "dd")
+        out = eig_broadcast(sim, {1: "101"}, range(1, 8), "DD", "dd")[1]
         values = {out[i] for i in range(2, 7)}  # nodes 2..6 are fault-free
         assert len(values) == 1, f"seed {seed}: {out}"
 
 
 def test_multibit_value_single_instance():
     sim = sim_for(7, 2, 3, 9)
-    out = eig_broadcast(sim, 3, "110011", range(1, 8), "DD", "dd")
+    out = eig_broadcast(sim, {3: "110011"}, range(1, 8), "DD", "dd")[3]
     assert all(v == "110011" for v in out.values())
 
 
 def test_silent_source_resolves_to_default():
     cfg = SystemConfig(n=4, t=1, c=3, L=12)
     sim = Simulation(cfg, make_strategy("crash_silent", cfg))  # node 4 faulty
-    out = eig_broadcast(sim, 4, "1", range(1, 5), "DD", "dd")
+    out = eig_broadcast(sim, {4: "1"}, range(1, 5), "DD", "dd")[4]
     assert out[1] == out[2] == out[3] == "0"
 
 
 def test_relay_rounds_are_single_broadcasts():
     sim = sim_for(4, 1, 3, 12)
-    eig_broadcast(sim, 1, "1", range(1, 5), "DD", "dd")
+    eig_broadcast(sim, {1: "1"}, range(1, 5), "DD", "dd")
     kinds = {e.kind for e in sim.trace}
     assert kinds == {"broadcast"}
     # round 1: source; round 2: the three peers relay once each
     assert len(sim.trace) == 4
+    # A batch is one slot per node per round.  At (7,2) a relayer relays,
+    # per instance it does not source, 1 value of 2 bits in round 2 and 5
+    # in round 3.  Node 7, skipped and no source, is silent throughout.
+    for sources, skip, slots in ((range(1, 8), frozenset(), 7), (range(1, 7), frozenset({7}), 6)):
+        sim = sim_for(7, 2, 3, 18)
+        eig_broadcast(sim, dict.fromkeys(sources, "1"), range(1, 8), "DD", "dd", skip=skip)
+        relayed = slots - 1  # instances each relayer does not source
+        assert [(e.round, e.kind, e.bits) for e in sim.trace] == (
+            [(1, "broadcast", 1)] * slots
+            + [(2, "broadcast", relayed * 2)] * slots
+            + [(3, "broadcast", relayed * 5 * 2)] * slots
+        )
 
 
 def test_unicast_mode_same_outputs_more_messages():
     sim = sim_for(4, 1, 3, 12)
-    eig_broadcast(sim, 1, "1", range(1, 5), "DD", "dd")
+    eig_broadcast(sim, {1: "1"}, range(1, 5), "DD", "dd")
     meter = TrafficMeter.from_trace(sim.trace)
     broadcast = meter.honest_messages
     # point to point, each of the 4 broadcasts reaches its n - 1 = 3 receivers separately
@@ -109,7 +122,7 @@ def test_unicast_mode_same_outputs_more_messages():
 def test_participant_count_validated():
     sim = sim_for(4, 1, 3, 12)
     with pytest.raises(ValueError):
-        eig_broadcast(sim, 1, "1", [1, 2, 3], "DD", "dd")
+        eig_broadcast(sim, {1: "1"}, [1, 2, 3], "DD", "dd")
 
 
 class RelayFuzzer(Strategy):
@@ -170,7 +183,7 @@ def _matches_reference(instance):
     cfg = SystemConfig(n=n, t=t, c=c, L=L, seed=seed)
     runs = []
     calls = (
-        lambda sim: eig_broadcast(sim, source, value, participants, "DD", "dd", skip=skip),
+        lambda sim: eig_broadcast(sim, {source: value}, participants, "DD", "dd", skip=skip)[source],
         lambda sim: eig_reference.eig_broadcast(
             sim, source, value, value_len, participants, t, "DD", "dd", skip=skip
         ),
@@ -192,6 +205,106 @@ def test_flat_levels_match_label_keyed_reference(instance):
 @given(eig_instances([(10, 3, 4, 16)], [1]))
 def test_flat_levels_match_label_keyed_reference_at_t3(instance):
     _matches_reference(instance)
+
+
+class Recording(Simulation):
+    """A Simulation that appends each round's (intents, inboxes) to `log`."""
+
+    def __init__(self, config, strategy, log):
+        super().__init__(config, strategy)
+        self.log = log
+
+    def round(self, intents, *args):
+        inboxes = super().round(intents, *args)
+        self.log.append((dict(intents), inboxes))
+        return inboxes
+
+
+class Replay(Strategy):
+    """Delivers, in each corrupt slot, `deliver(round, sender, receivers)`;
+    the round is one more than the rounds in `log`."""
+
+    name = "replay"
+
+    def corrupt_set(self):
+        return self.params["corrupt"]
+
+    def act(self, ctx, honest_payload):
+        return Selective(self.params["deliver"](len(self.params["log"]) + 1, ctx.sender, ctx.receivers))
+
+
+@st.composite
+def eig_batches(draw, points):
+    # A batch of 1..m instances over a participant set, each of width 1
+    # or 6; `skip` holds participants that source nothing, as the nodes
+    # dispute control has excluded.
+    n, t, c, L = draw(st.sampled_from(points))
+    nodes = range(1, n + 1)
+    participants = sorted(draw(st.sets(st.sampled_from(nodes), min_size=3 * t + 1)))
+    sources = draw(st.sets(st.sampled_from(participants), min_size=1))
+    values = {}
+    for s in sorted(sources):
+        width = draw(st.sampled_from([1, 6]))
+        values[s] = "".join(draw(st.lists(st.sampled_from("01"), min_size=width, max_size=width)))
+    corrupt = draw(st.sets(st.sampled_from(nodes), max_size=t))
+    quiet = [i for i in participants if i not in sources]
+    skip = draw(st.sets(st.sampled_from(quiet), max_size=t)) if quiet else set()
+    seed = draw(st.integers(0, 2**16))
+    return n, t, c, L, participants, values, frozenset(corrupt), frozenset(skip), seed
+
+
+def _part(participants, values, relayer, source, relay_round):
+    """Where `source`'s instance lies in `relayer`'s payload of a relay
+    round (1..t), and that payload's total length: per instance it does
+    not source, in ascending source order, (m-2)!/(m-1-r)! values of
+    1+width bits."""
+    m = len(participants)
+    count = math.factorial(m - 2) // math.factorial(m - 1 - relay_round)
+    start = total = 0
+    for s in sorted(values):
+        if s != relayer:
+            size = count * (1 + len(values[s]))
+            if s == source:
+                start = total
+            total += size
+    return start, start + count * (1 + len(values[source])), total
+
+
+@settings(max_examples=200, deadline=None)
+@given(eig_batches([(4, 1, 3, 12), (7, 1, 3, 15), (7, 2, 3, 9)]))
+def test_batch_matches_each_instance_alone_in_reference(batch):
+    # The batch runs under RelayFuzzer.  Each instance then runs alone
+    # through the reference, whose corrupt slots deliver that instance's
+    # part of what the batch's slot delivered, or silence where the
+    # payload's total length was wrong.  Outputs must agree, and so must
+    # every node's intent, the instance's part of its batch intent.
+    n, t, c, L, participants, values, corrupt, skip, seed = batch
+    cfg = SystemConfig(n=n, t=t, c=c, L=L, seed=seed)
+    log = []
+    sim = Recording(cfg, RelayFuzzer(cfg, corrupt=corrupt, seed=seed), log)
+    outputs = eig_broadcast(sim, values, participants, "DD", "dd", skip=skip)
+    assert sorted(outputs) == sorted(values)
+    for source, value in values.items():
+
+        def part(rnd, sender, payload, source=source):
+            if rnd == 1:
+                return payload
+            start, stop, total = _part(participants, values, sender, source, rnd - 1)
+            return payload[start:stop] if len(payload) == total else ""
+
+        def deliver(rnd, sender, receivers):
+            inboxes = log[rnd - 1][1]
+            return {r: part(rnd, sender, inboxes[r].get(sender, "")) for r in receivers}
+
+        alone_log = []
+        sim = Recording(cfg, Replay(cfg, corrupt=corrupt, deliver=deliver, log=alone_log), alone_log)
+        alone = eig_reference.eig_broadcast(
+            sim, source, value, len(value), participants, t, "DD", "dd", skip=skip
+        )
+        assert outputs[source] == alone, source
+        for rnd, (intents, _) in enumerate(alone_log, start=1):
+            batch_intents = log[rnd - 1][0]
+            assert intents == {i: part(rnd, i, batch_intents[i]) for i in intents}, (source, rnd)
 
 
 @st.composite

@@ -228,6 +228,8 @@ def test_cli_verify_bounds(capsys):
     printed = capsys.readouterr().out
     assert "total_bb_cost_bits(n, t, L)   = 30" in printed
     assert "5/2" in printed and "within (2, 4)" in printed
+    assert "honest_messages(dispute_bb)   = 24" in printed
+    assert "honest_messages(algo2)        = 20" in printed
 
 
 def test_cli_verify_bounds_skips_an_invalid_point(capsys):
@@ -284,28 +286,51 @@ def test_cli_replay_counts_selective_sends_per_receiver(tmp_path, capsys):
         phase: (c.honest_messages, c.honest_bits, c.adversary_messages, c.adversary_bits)
         for phase, c in meter.by_phase.items()
     }
-    assert sum(r[2] for r in rows.values()) == record.row["adversary_messages"] == 324
+    assert sum(r[2] for r in rows.values()) == record.row["adversary_messages"] == 204
 
 
-def test_cli_replay_rejects_trace_without_message_counts(tmp_path, capsys):
+def _without_messages(line):
+    return json.dumps({k: v for k, v in json.loads(line).items() if k != "messages"})
+
+
+def _with_unknown_field(line):
+    return json.dumps({**json.loads(line), "colour": "red"})
+
+
+@pytest.mark.parametrize("edit, reason", [
     # A trace from before lines carried "messages" would replay each
     # selective send as one message; replay must refuse it.
+    pytest.param(_without_messages, 'no "messages" field', id="no_messages_field"),
+    pytest.param(None, "No such file or directory", id="missing_file"),
+    pytest.param(lambda line: line[: len(line) // 2], "not JSON", id="not_json"),
+    pytest.param(_with_unknown_field, "unknown field 'colour'", id="unknown_field"),
+    pytest.param(lambda line: json.dumps({**json.loads(line), "bits": "12"}), "'bits' is not int",
+                 id="wrong_type"),
+])
+def test_cli_replay_rejects_trace_without_message_counts(tmp_path, capsys, edit, reason):
+    # Every bad input is one `path[:lineno]: reason` line on stderr and
+    # exit 1, never a traceback.
     record = run_scenario(Scenario(n=7, t=2, c=3, L=18, strategy="randomized_byzantine"))[0]
     path = tmp_path / "trace.jsonl"
-    write_trace(record, path)
-    lines = path.read_text().splitlines()
-    old = [json.dumps({k: v for k, v in json.loads(line).items() if k != "messages"})
-           for line in lines[1:]]
-    path.write_text("\n".join(lines[:1] + old) + "\n")
-    assert main(["replay", str(path)]) != 0
-    assert f"{path}:2:" in capsys.readouterr().err
+    if edit is None:
+        where = f"{path}: "
+    else:
+        write_trace(record, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + [edit(line) for line in lines[1:]]) + "\n")
+        where = f"{path}:2: "
+    assert main(["replay", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith(where) and reason in captured.err, captured.err
 
 
 # sha256 over the acceptance corpus below: the CSV of every record, then
 # each record's JSONL trace and its outputs as sorted JSON, in corpus
 # order.  A change that alters outputs or traces on purpose updates this
 # digest and says so in CHANGES.md.
-CORPUS_DIGEST = "ad3c7168fc6c566d911338725b5228bfda6a55f0e10e2e698fd05ec724ca0510"
+CORPUS_DIGEST = "fca29b33d47ff9770688fd742d743c4c8ce6d9c859495729e3e6e2762849992e"
 
 
 def test_acceptance_corpus_bytes_are_pinned(tmp_path):
@@ -330,7 +355,7 @@ def test_acceptance_corpus_bytes_are_pinned(tmp_path):
 # acceptance corpus (L <= 18) never reaches: `algo2` at (10,3,4), L=256,
 # relays CORE values thousands of bits long.  Each record's JSONL trace and
 # its outputs as sorted JSON, in order.
-LARGE_PAYLOAD_DIGEST = "71b533973162dc7c0926695f6022f8a2d028c5c33bf45ef02ab6ad394ed672b6"
+LARGE_PAYLOAD_DIGEST = "a0d351e2f6150c5034f881e299ee6012cbc2eecff6a38205f56d7aa7889f9999"
 
 
 def test_large_payload_runs_are_pinned(tmp_path):
