@@ -17,8 +17,9 @@ Slot tags used by the protocols:
                   that source's value; ctx.extra["purpose"] is one of
                   "dd", "dc_value", "dc_claim", "core"
   "eig.relay"     a relay round of an EIG batch: one slot per relayer,
-                  its relays of every instance it does not source
-                  concatenated in ascending source order (`eig`)
+                  the `pack` of its kept values of every instance it
+                  does not source, in ascending source order; a batch
+                  has one value width (`eig`)
   "announce"      an announcer slot in the committee algorithm
 """
 

@@ -10,7 +10,8 @@ the suite, with one FAIL line naming the offending seed and the path of a
 replayable trace; so does an exception raised inside a run, with one FAIL
 line naming the run's point, seed and exception, and the replayable trace
 up to the raise, if any.  Later runs are not reported, and those no
-worker has started never start.
+worker has started never start.  An input file that is not a scenario,
+grid or trace is one `path: reason` line on stderr, exit 1.
 """
 
 from __future__ import annotations
@@ -106,15 +107,50 @@ def _run_and_report(scenarios: list[Scenario], args) -> int:
     return 1
 
 
+def _read_text(path: Path) -> str:
+    """The text in `path`; a ValueError says why there is none."""
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise ValueError(exc.strerror or str(exc)) from None
+    except UnicodeDecodeError:
+        raise ValueError("not a text file") from None
+
+
+def _read_object(path: Path) -> dict:
+    """The JSON object in `path`; a ValueError says why there is none."""
+    try:
+        raw = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not JSON ({exc.msg})") from None
+    if not isinstance(raw, dict):
+        raise ValueError("not a JSON object")
+    return raw
+
+
 def _cmd_run(args) -> int:
-    raw = json.loads(Path(args.scenario).read_text())
-    if args.seed is not None:
-        raw["seeds"] = args.seed
-    return _run_and_report([Scenario.from_dict(raw)], args)
+    """Run one scenario file; a file that is not a valid scenario is
+    reported as one `path: reason` line, exit 1."""
+    try:
+        raw = _read_object(args.scenario)
+        if args.seed is not None:
+            raw["seeds"] = args.seed
+        scenario = Scenario.from_dict(raw)
+    except KeyError as exc:
+        return _refuse(f"{args.scenario}: no {exc} field")
+    except (ValueError, TypeError) as exc:
+        return _refuse(f"{args.scenario}: {exc}")
+    return _run_and_report([scenario], args)
 
 
 def _cmd_sweep(args) -> int:
-    grid = json.loads(Path(args.grid).read_text())
+    """Run a grid file; a file that is not a JSON object is reported as
+    one `path: reason` line, exit 1, and each invalid point as a SKIP
+    line."""
+    try:
+        grid = _read_object(args.grid)
+    except ValueError as exc:
+        return _refuse(f"{args.grid}: {exc}")
     if args.seed is not None:
         grid["seeds"] = args.seed
     scenarios, errors = grid_scenarios(grid)
@@ -165,11 +201,9 @@ def _cmd_replay(args) -> int:
     """Fold a trace into its per-phase meter; a file or line that is not a
     trace is reported as one `path[:lineno]: reason` line, exit 1."""
     try:
-        text = Path(args.trace).read_text()
-    except OSError as exc:
-        return _refuse(f"{args.trace}: {exc.strerror or exc}")
-    except UnicodeDecodeError:
-        return _refuse(f"{args.trace}: not a text file")
+        text = _read_text(args.trace)
+    except ValueError as exc:
+        return _refuse(f"{args.trace}: {exc}")
     entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

@@ -15,29 +15,31 @@ missing values.
 
 Batch: one call runs one instance per source of its `values`, all over
 the same participants and `skip`, in the same t+1 rounds, so a node
-sends at most one slot per round.  Round 1 gives each source one slot,
-its value.  In relay round r (1..t) each relayer sends one payload: for
-each instance it does not source, in ascending source order, its relays
-of that instance `pack`ed, (m-2)!/(m-1-r)! values of 1+width bits with m
+sends at most one slot per round.  The values share one width (a batch
+of mixed widths is refused).  Round 1 gives each source one slot, its
+value.  In relay round r (1..t) each relayer sends one payload, the
+`pack` of every relayed instance's kept values, in ascending source
+order: (m-2)!/(m-1-r)! values of 1+width bits per instance, with m
 participants.  A payload of any other total length reads as absent in
 every instance.  A one-entry batch is one instance, slot for slot.
 
 Layout: each node holds one tuple of values per tree depth, in the label
 order `[lab + (i,) for lab in level for i in participants if i not in lab]`,
 so the children of a value form one contiguous block and every block of
-a depth has the same size.  That shape depends only on the participant
-count m, t and the source's position among the sorted participants, so
-`_shape` computes it once per (m, t, position), by position rather than
-by node id: per relay round, the positions each relayer relays (an
-`itemgetter` over its level) and one gather permutation that builds the
-next level from the relayers' rows concatenated in participant order.
-No call looks at a label.  A node's next level is a function of its view
-alone, the payloads it holds from the relayers, so it is built once per
-distinct view and shared by the receivers that hold that view: once per
-round when every relayer sends one payload to all, not m times.  `_plan`
-caches a batch's layout per round beside the shapes.  The last level is
-built and resolved one instance at a time, so only one instance's last
-level is alive at once.
+a depth has the same size.  That shape depends only on m, t and the
+source's position among the sorted participants, so `_shape`, the only
+layout table, computes it once per (m, t, position): per relay round,
+each position's `keep` (an `itemgetter` of the values it relays) and
+one gather permutation that builds the next level from the other
+positions' rows in participant order.  A batch adds two rules: its
+instances lie in ascending source order, and each relayer skips the one
+it sources.  No call looks at a label.  A node's next level is a
+function of its view alone, so it is built once per distinct view and
+shared by the receivers that hold it: once per round when every relayer
+sends one payload to all.  Each distinct payload is parsed once per
+round into its rows per instance, a relayer's own intent not at all.
+The last level is built and resolved one instance at a time, so only
+one instance's last level is alive at once.
 
 Payload rules, stated once for every module: `canon` (exact length only)
 and the flagged-list codec `pack`/`unpack` (any other length, silence too,
@@ -77,8 +79,10 @@ def unpack(payload: str, count: int, width: int) -> list[Optional[str]]:
 
 
 def _majority(values: list[str], default: str) -> str:
-    """The strict-majority value of `values`, else `default`."""
-    for value in set(values):
+    """The strict-majority value of `values`, else `default`.  Candidates
+    are tried in list order, so the work does not depend on the string
+    hash seed."""
+    for value in values:
         if 2 * values.count(value) > len(values):
             return value
     return default
@@ -97,61 +101,24 @@ def _shape(m: int, faults: int, s: int) -> tuple:
     """The tree shape of m participants with the source at position s,
     cached once per (m, faults, s) a process meets.
 
-    Per relay round: the relayers' positions, in participant order; for
-    each, `keep`, which reads from its level the values it relays (those
-    at labels without it); the count of values each relayer relays, the
-    same for all; and `gather`, which builds the next level from the
-    relayers' rows concatenated in that order.
+    Per relay round: `keeps`, for each position, which reads from its
+    level the values it relays (those at labels without it), None at the
+    source; and `gather`, which builds the next level from the other
+    positions' rows concatenated in participant order.
     """
     level = [(s,)]
     rounds = []
     for _ in range(faults):
-        relays = [(i, [k for k, lab in enumerate(level) if i not in lab]) for i in range(m)]
-        relays = [(i, kept) for i, kept in relays if kept]  # all but the source
-        start, row_start = {}, 0
-        for i, kept in relays:
-            start[i], row_start = row_start, row_start + len(kept)
+        kept = [[k for k, lab in enumerate(level) if i not in lab] for i in range(m)]
+        relayers = [i for i in range(m) if i != s]  # their rows have one length
+        start = {i: x * len(kept[i]) for x, i in enumerate(relayers)}
         level = [lab + (i,) for lab in level for i in range(m) if i not in lab]
         gather = []  # child lab + (i,) takes the next value of i's row
         for lab in level:
             gather.append(start[lab[-1]])
             start[lab[-1]] += 1
-        positions, keeps = zip(*((i, _select(kept)) for i, kept in relays))
-        rounds.append((positions, keeps, len(relays[0][1]), _select(gather)))
-    return tuple(rounds)
-
-
-@cache
-def _plan(m: int, faults: int, sources: tuple[int, ...], widths: tuple[int, ...]) -> tuple:
-    """The batch plan of instances whose sources sit at positions
-    `sources` (ascending) with value widths `widths`, cached once per
-    batch a process meets, beside the shapes it reads.
-
-    Per relay round: `senders`, for each relayer position in ascending
-    order, its payload's length and the (instance, keep) of each instance
-    it relays, in ascending source order; and per instance, for each of
-    its relayers in participant order, (index among the senders, start,
-    stop) of the instance's part of that relayer's payload, then the
-    count of values in a part and the instance's `gather`.
-    """
-    shapes = [_shape(m, faults, s) for s in sources]
-    rounds = []
-    for r in range(faults):
-        steps = [shape[r] for shape in shapes]
-        relayers = sorted({p for positions, _, _, _ in steps for p in positions})
-        index = {p: x for x, p in enumerate(relayers)}
-        relays: list[list] = [[] for _ in relayers]  # per relayer, its (instance, keep)s
-        length = [0] * len(relayers)  # per relayer, its payload length so far
-        instances = []
-        for k, ((positions, keeps, count, gather), width) in enumerate(zip(steps, widths)):
-            size, parts = count * (1 + width), []
-            for p, keep in zip(positions, keeps):
-                x = index[p]
-                relays[x].append((k, keep))
-                parts.append((x, length[x], length[x] + size))
-                length[x] += size
-            instances.append((tuple(parts), count, gather))
-        rounds.append((tuple(zip(relayers, length, map(tuple, relays))), tuple(instances)))
+        keeps = tuple(_select(positions) if positions else None for positions in kept)
+        rounds.append((keeps, _select(gather)))
     return tuple(rounds)
 
 
@@ -179,8 +146,8 @@ def eig_broadcast(
 ) -> dict[int, dict[int, str]]:
     """Run one EIG instance per entry source -> value of `values`, as one
     batch against sim.config.t faults; returns, per source, each
-    participant's resolved output.  A received value counts only at
-    len(value) bits, the instance's width.
+    participant's resolved output.  Every value of a batch has one width,
+    and a received value counts only at that many bits.
 
     `skip` holds nodes excluded from transmitting (already identified as
     faulty); their tree positions resolve to the default.
@@ -192,54 +159,56 @@ def eig_broadcast(
         raise ValueError("every source must participate")
     if len(participants) < 3 * faults + 1:
         raise ValueError("need at least 3t+1 participants")
+    widths = {len(value) for value in values.values()}
+    if len(widths) > 1:
+        raise ValueError("every value of a batch must have one width")
+    (width,) = widths
     m = len(participants)
-    widths = tuple(len(values[s]) for s in sources)
     extra = {"purpose": purpose}
 
     inbox = sim.round({s: values[s] for s in sources if s not in skip}, phase, "eig.source", extra)
-    held = [{j: (canon(inbox[j].get(s), w),) for j in participants} for s, w in zip(sources, widths)]
+    held = [{j: (canon(inbox[j].get(s), width),) for j in participants} for s in sources]
+    own = {participants.index(s): k for k, s in enumerate(sources)}  # position -> its instance
+    relayers = [p for p in range(m) if len(sources) > (p in own)]  # all but a lone source
+    senders = [participants[p] for p in relayers]
     outputs = {}
-    plan = _plan(m, faults, tuple(map(participants.index, sources)), widths)
-    for r, (senders, instances) in enumerate(plan, start=1):
-        relayers = [participants[p] for p, _, _ in senders]
+    count = 1  # values relayed per instance in relay round r: (m-2)!/(m-1-r)!
+    for r, steps in enumerate(zip(*(_shape(m, faults, p) for p in own)), start=1):
         intents = {}  # a skipped relayer is silent
-        relayed = {}  # (relayer index, instance) -> the values its intent carries
-        for x, (i, (_, _, relays)) in enumerate(zip(relayers, senders)):
+        parsed = [{} for _ in relayers]  # per relayer: payload -> rows per instance, None at its own
+        for x, (p, i) in enumerate(zip(relayers, senders)):
             if i not in skip:
-                parts = []
-                for k, keep in relays:
-                    row = relayed[x, k] = keep(held[k][i])
-                    parts.append(pack(row, widths[k]))
-                intents[i] = "".join(parts)
+                rows = [keeps[p] and keeps[p](level[i]) for (keeps, _), level in zip(steps, held)]
+                intents[i] = "".join([pack(row, width) for row in rows if row])
+                parsed[x][intents[i]] = rows
         inbox = sim.round(intents, phase, "eig.relay", extra)
-        silent = [""] * len(relayers)
+        silent = [""] * len(senders)
         views: dict[tuple[str, ...], list[int]] = {}  # receivers with equal views share levels
         for j in participants:
-            views.setdefault(tuple(map(inbox[j].get, relayers, silent)), []).append(j)
-        for k, (parts, count, gather) in enumerate(instances):
-            width, level, absent = widths[k], held[k], [None] * count
-            parsed = {}  # (relayer index, payload) -> its values of instance k
-            for x, _, _ in parts:
-                if (x, k) in relayed:  # an intended relay needs no parse
-                    parsed[x, intents[relayers[x]]] = relayed[x, k]
+            views.setdefault(tuple(map(inbox[j].get, senders, silent)), []).append(j)
+        for k, (_, gather) in enumerate(steps):
+            level = held[k]
             for view, receivers in views.items():
-                rows: list[Optional[str]] = []
-                for x, start, stop in parts:
-                    payload = view[x]
-                    row = parsed.get((x, payload))
-                    if row is None:  # a payload of the wrong total length is absent throughout
-                        row = parsed[x, payload] = (
-                            unpack(payload[start:stop], count, width)
-                            if len(payload) == senders[x][1]
-                            else absent
-                        )
-                    rows.extend(row)
-                built = gather(rows)
+                flat = []
+                for x, payload in enumerate(view):
+                    rows = parsed[x].get(payload)
+                    if rows is None:  # not parsed yet; a wrong total length is absent throughout
+                        own_k = own.get(relayers[x])
+                        relays = len(sources) - (own_k is not None)  # instances x relays
+                        relayed = unpack(payload, relays * count, width)
+                        rows = [relayed[a : a + count] for a in range(0, len(relayed), count)]
+                        if own_k is not None:
+                            rows.insert(own_k, None)
+                        parsed[x][payload] = rows
+                    if rows[k]:
+                        flat.extend(rows[k])
+                built = gather(flat)
                 for j in receivers:
                     level[j] = built
             if r == faults:  # resolved now, so one instance's last level is alive at a time
                 outputs[sources[k]] = _resolve(level, m, faults, width)
                 held[k] = None
+        count *= m - 1 - r
     if not faults:
-        outputs = {s: _resolve(level, m, faults, w) for s, level, w in zip(sources, held, widths)}
+        outputs = {s: _resolve(level, m, faults, width) for s, level in zip(sources, held)}
     return outputs

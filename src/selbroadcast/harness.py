@@ -83,10 +83,12 @@ def _parse_length(value, cfg) -> int:
     if isinstance(value, int):
         return value
     text = str(value).strip().upper()
-    if text.endswith("D"):
-        mult = int(text[:-1] or "1")
-        return mult * generation_size(cfg["n"], cfg["t"], cfg["c"])
-    return int(text)
+    try:
+        if text.endswith("D"):
+            return int(text[:-1] or "1") * generation_size(cfg["n"], cfg["t"], cfg["c"])
+        return int(text)
+    except ValueError:
+        raise ValueError(f'L must be an integer or "<k>D", not {value!r}') from None
 
 
 # CSV columns, in declaration order.

@@ -125,6 +125,13 @@ def test_participant_count_validated():
         eig_broadcast(sim, {1: "1"}, [1, 2, 3], "DD", "dd")
 
 
+def test_batch_of_mixed_widths_is_refused():
+    sim = sim_for(4, 1, 3, 12)
+    with pytest.raises(ValueError, match="one width"):
+        eig_broadcast(sim, {1: "1", 2: "010"}, range(1, 5), "DD", "dd")
+    assert sim.trace == []  # refused before any slot
+
+
 class RelayFuzzer(Strategy):
     """Corrupts `params["corrupt"]`; in every slot each receiver gets, at
     random, the honest payload, silence, a payload of the wrong length,
@@ -235,16 +242,16 @@ class Replay(Strategy):
 
 @st.composite
 def eig_batches(draw, points):
-    # A batch of 1..m instances over a participant set, each of width 1
-    # or 6; `skip` holds participants that source nothing, as the nodes
+    # A batch of 1..m instances over a participant set, all of one width,
+    # 1 or 6; `skip` holds participants that source nothing, as the nodes
     # dispute control has excluded.
     n, t, c, L = draw(st.sampled_from(points))
     nodes = range(1, n + 1)
     participants = sorted(draw(st.sets(st.sampled_from(nodes), min_size=3 * t + 1)))
     sources = draw(st.sets(st.sampled_from(participants), min_size=1))
+    width = draw(st.sampled_from([1, 6]))
     values = {}
     for s in sorted(sources):
-        width = draw(st.sampled_from([1, 6]))
         values[s] = "".join(draw(st.lists(st.sampled_from("01"), min_size=width, max_size=width)))
     corrupt = draw(st.sets(st.sampled_from(nodes), max_size=t))
     quiet = [i for i in participants if i not in sources]
@@ -257,17 +264,13 @@ def _part(participants, values, relayer, source, relay_round):
     """Where `source`'s instance lies in `relayer`'s payload of a relay
     round (1..t), and that payload's total length: per instance it does
     not source, in ascending source order, (m-2)!/(m-1-r)! values of
-    1+width bits."""
+    1+width bits, the batch's one width."""
     m = len(participants)
     count = math.factorial(m - 2) // math.factorial(m - 1 - relay_round)
-    start = total = 0
-    for s in sorted(values):
-        if s != relayer:
-            size = count * (1 + len(values[s]))
-            if s == source:
-                start = total
-            total += size
-    return start, start + count * (1 + len(values[source])), total
+    size = count * (1 + len(values[source]))
+    relayed = [s for s in sorted(values) if s != relayer]
+    at = relayed.index(source)
+    return at * size, (at + 1) * size, len(relayed) * size
 
 
 @settings(max_examples=200, deadline=None)

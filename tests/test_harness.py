@@ -326,6 +326,35 @@ def test_cli_replay_rejects_trace_without_message_counts(tmp_path, capsys, edit,
     assert captured.err.startswith(where) and reason in captured.err, captured.err
 
 
+_SCENARIO = {"config": {"n": 4, "t": 1, "c": 3, "L": 12}, "strategy": "honest"}
+
+
+@pytest.mark.parametrize("command, text, reason", [
+    pytest.param("run", None, "No such file or directory", id="run_missing_file"),
+    pytest.param("run", "{not json", "not JSON", id="run_not_json"),
+    pytest.param("run", "[4, 1, 3, 12]", "not a JSON object", id="run_not_an_object"),
+    pytest.param("run", json.dumps({"config": {"n": 4, "t": 1, "c": 3}}), "no 'L' field",
+                 id="run_no_L"),
+    pytest.param("run", json.dumps({"config": {"n": 4, "t": 1, "c": 3, "L": "xD"}}),
+                 "L must be an integer", id="run_bad_L"),
+    pytest.param("run", json.dumps({**_SCENARIO, "strategy": "sneaky"}), "unknown strategy 'sneaky'",
+                 id="run_unknown_strategy"),
+    pytest.param("sweep", None, "No such file or directory", id="sweep_missing_file"),
+    pytest.param("sweep", "{not json", "not JSON", id="sweep_not_json"),
+    pytest.param("sweep", "[4, 7]", "not a JSON object", id="sweep_not_an_object"),
+])
+def test_cli_refuses_a_file_that_is_not_a_scenario(tmp_path, capsys, command, text, reason):
+    # One `path: reason` line on stderr and exit 1, never a traceback.
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith(f"{path}: ") and reason in captured.err, captured.err
+
+
 # sha256 over the acceptance corpus below: the CSV of every record, then
 # each record's JSONL trace and its outputs as sorted JSON, in corpus
 # order.  A change that alters outputs or traces on purpose updates this
