@@ -146,7 +146,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     """Run a grid file; a file that is not a JSON object is reported as
     one `path: reason` line, exit 1, and each invalid point as a SKIP
-    line."""
+    line.  A grid with no valid point exits 1 after its SKIP lines."""
     try:
         grid = _read_object(args.grid)
     except ValueError as exc:
@@ -156,6 +156,8 @@ def _cmd_sweep(args) -> int:
     scenarios, errors = grid_scenarios(grid)
     for err in errors:
         print(f"SKIP {err}")
+    if not scenarios:
+        return _refuse(f"{args.grid}: no point of the grid runs")
     return _run_and_report(scenarios, args)
 
 

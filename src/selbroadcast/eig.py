@@ -38,13 +38,18 @@ function of its view alone, so it is built once per distinct view and
 shared by the receivers that hold it: once per round when every relayer
 sends one payload to all.  Each distinct payload is parsed once per
 round into its rows per instance, a relayer's own intent not at all.
-The last level is built and resolved one instance at a time, so only
-one instance's last level is alive at once.
+The last level is built and voted one instance at a time, so only one
+instance's last level is alive at once.  Each distinct last level is
+voted where it is built, once, and its receivers take that vote; a vote
+stops at the first depth whose entries all agree, since every strict
+majority above it returns that entry.  In an honest run that is one
+vote per instance, and it stops at once.
 
 Payload rules, stated once for every module: `canon` (exact length only)
 and the flagged-list codec `pack`/`unpack` (any other length, silence too,
-reads as all absent).  Node j reads every relayer, itself included, from
-its inbox: the channel gives each sender its own intent.
+reads as all absent).  `pack` of a list with no absent value is one
+join.  Node j reads every relayer, itself included, from its inbox: the
+channel gives each sender its own intent.
 """
 
 from __future__ import annotations
@@ -65,6 +70,8 @@ def canon(payload: Optional[str], length: int) -> Optional[str]:
 
 def pack(values: Sequence[Optional[str]], width: int) -> str:
     """Each value as a 1 flag and its `width` bits; None as `width`+1 zeros."""
+    if None not in values:  # every flag is 1: one join
+        return "1" + "1".join(values) if values else ""
     absent = "0" * (1 + width)
     return "".join([absent if v is None else "1" + v for v in values])
 
@@ -122,18 +129,17 @@ def _shape(m: int, faults: int, s: int) -> tuple:
     return tuple(rounds)
 
 
-def _resolve(level: dict[int, tuple], m: int, faults: int, width: int) -> dict[int, str]:
-    """Each node's output, its last level voted bottom-up; nodes holding
-    equal levels resolve once."""
+def _vote(level: tuple, m: int, faults: int, width: int) -> str:
+    """One node's output: its last level voted bottom-up by strict
+    majority, absent values as the all-zeros default."""
     default = "0" * width
-    resolved = {}
-    for key in set(level.values()):
-        values = [v or default for v in key]
-        # Children blocks grow by one per level toward the root.
-        for size in range(m - faults, m):
-            values = [_majority(values[k : k + size], default) for k in range(0, len(values), size)]
-        resolved[key] = values[0]
-    return {j: resolved[key] for j, key in level.items()}
+    values = [v or default for v in level]
+    # Children blocks grow by one per level toward the root.
+    for size in range(m - faults, m):
+        if values == [values[0]] * len(values):  # every majority above is that entry
+            break
+        values = [_majority(values[k : k + size], default) for k in range(0, len(values), size)]
+    return values[0]
 
 
 def eig_broadcast(
@@ -188,6 +194,7 @@ def eig_broadcast(
             views.setdefault(tuple(map(inbox[j].get, senders, silent)), []).append(j)
         for k, (_, gather) in enumerate(steps):
             level = held[k]
+            voted: dict[tuple, str] = {}  # last round: built level -> its vote
             for view, receivers in views.items():
                 flat = []
                 for x, payload in enumerate(view):
@@ -203,12 +210,19 @@ def eig_broadcast(
                     if rows[k]:
                         flat.extend(rows[k])
                 built = gather(flat)
+                if r == faults:  # voted where built, once per distinct last level
+                    vote = voted.get(built)
+                    if vote is None:
+                        vote = voted[built] = _vote(built, m, faults, width)
+                    built = vote  # the receivers hold their output from here
                 for j in receivers:
                     level[j] = built
-            if r == faults:  # resolved now, so one instance's last level is alive at a time
-                outputs[sources[k]] = _resolve(level, m, faults, width)
+            if r == faults:  # level holds the outputs; one instance's last level lives at a time
+                outputs[sources[k]] = level
                 held[k] = None
         count *= m - 1 - r
     if not faults:
-        outputs = {s: _resolve(level, m, faults, width) for s, level in zip(sources, held)}
+        default = "0" * width  # a 1-tuple level is its own vote
+        for s, level in zip(sources, held):
+            outputs[s] = {j: v or default for j, (v,) in level.items()}
     return outputs

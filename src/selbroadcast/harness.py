@@ -217,7 +217,9 @@ def grid_scenarios(grid: dict) -> tuple[list[Scenario], list[str]]:
             if point.get("t") == "max":
                 point["t"] = (point["n"] - 1) // 3
             scenarios.append(Scenario.from_dict(point))
-        except (ValueError, KeyError) as exc:
+        except KeyError as exc:
+            errors.append(f"{point}: no {exc} field")
+        except (ValueError, TypeError) as exc:
             errors.append(f"{point}: {exc}")
     return scenarios, errors
 

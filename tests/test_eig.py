@@ -10,7 +10,7 @@ from selbroadcast.adversaries import Broadcast, Selective, Strategy, make_strate
 from selbroadcast.channel import Simulation, SystemConfig, TrafficMeter, check_bb_properties
 from selbroadcast.committee import run_algorithm2
 from selbroadcast.dispute_bb import run_byzantine_broadcast
-from selbroadcast.eig import eig_broadcast
+from selbroadcast.eig import _vote, eig_broadcast, pack
 
 
 def sim_for(n, t, c, L, seed=0, strategy=None):
@@ -130,6 +130,53 @@ def test_batch_of_mixed_widths_is_refused():
     with pytest.raises(ValueError, match="one width"):
         eig_broadcast(sim, {1: "1", 2: "010"}, range(1, 5), "DD", "dd")
     assert sim.trace == []  # refused before any slot
+
+
+@given(st.integers(0, 3).flatmap(lambda width: st.tuples(
+    st.just(width), st.lists(st.none() | st.text("01", min_size=width, max_size=width), max_size=8))))
+def test_pack_is_the_per_value_flagged_join(case):
+    width, values = case
+    present = [v for v in values if v is not None]
+    for listed in (values, present, tuple(present)):
+        expected = "".join(["0" * (1 + width) if v is None else "1" + v for v in listed])
+        assert pack(listed, width) == expected
+
+
+@st.composite
+def last_levels(draw):
+    # A last level over a 2-3 letter alphabet plus None, mostly one value
+    # with a few others, so levels that agree or nearly agree are common.
+    m, faults = draw(st.sampled_from([(4, 1), (5, 1), (7, 1), (7, 2), (8, 2), (10, 3)]))
+    width = draw(st.integers(1, 2))
+    letters = st.text("01", min_size=width, max_size=width)
+    alphabet = draw(st.lists(letters, min_size=2, max_size=min(3, 2**width), unique=True))
+    symbols = st.sampled_from([None, *alphabet])
+    size = math.prod(range(m - faults, m))
+    level = [draw(symbols)] * size
+    for k, v in draw(st.dictionaries(st.integers(0, size - 1), symbols, max_size=12)).items():
+        level[k] = v
+    return m, faults, width, tuple(level)
+
+
+def _full_fold(level, m, faults, width):
+    """Strict majority over every block of every depth, bottom-up, with
+    no early stop: the vote `_vote` must equal."""
+    default = "0" * width
+    values = [v or default for v in level]
+    for size in range(m - faults, m):
+        blocks = [values[k : k + size] for k in range(0, len(values), size)]
+        values = []
+        for block in blocks:
+            winners = [v for v in set(block) if 2 * block.count(v) > len(block)]
+            values.append(winners[0] if winners else default)
+    (root,) = values
+    return root
+
+
+@given(last_levels())
+def test_vote_equals_the_full_bottom_up_fold(case):
+    m, faults, width, level = case
+    assert _vote(level, m, faults, width) == _full_fold(level, m, faults, width)
 
 
 class RelayFuzzer(Strategy):

@@ -179,6 +179,21 @@ def test_cli_sweep(tmp_path, capsys):
     assert printed.count("PASS") == 4
 
 
+@pytest.mark.parametrize("grid, reason", [
+    pytest.param({"n": ["x"], "t": ["max"], "c": [3], "L": [12]}, "unsupported operand",
+                 id="n_not_a_number"),
+    pytest.param({"n": [4], "t": [1], "c": [3]}, "no 'L' field", id="no_L"),
+])
+def test_sweep_with_no_valid_point_skips_it_and_exits_1(tmp_path, capsys, grid, reason):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    assert main(["sweep", str(path)]) == 1
+    captured = capsys.readouterr()
+    (skip,) = captured.out.splitlines()
+    assert skip.startswith("SKIP ") and reason in skip, skip
+    assert captured.err == f"{path}: no point of the grid runs\n"
+
+
 def test_sweep_over_two_points_leaves_one_trace_per_record(tmp_path, capsys):
     # (4,1) and (7,2), both algorithms, 2 strategies, 2 repetitions: 16
     # records whose algorithm, strategy, seed and rep repeat across points
