@@ -21,7 +21,6 @@ is the view TrafficMeter.as_unicast.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterable, Mapping, Optional
@@ -105,7 +104,9 @@ class TrafficMeter:
         self.by_phase: dict[str, PhaseCounts] = {}
 
     def add(self, honest: bool, phase: str, messages: int, bits: int) -> None:
-        counts = self.by_phase.setdefault(phase, PhaseCounts())
+        counts = self.by_phase.get(phase)
+        if counts is None:
+            counts = self.by_phase[phase] = PhaseCounts()
         if honest:
             counts.honest_messages += messages
             counts.honest_bits += bits
@@ -143,17 +144,9 @@ class TrafficMeter:
     @classmethod
     def from_trace(cls, entries: Iterable["TraceEntry"]) -> "TrafficMeter":
         """The meter of the execution that recorded `entries`."""
-        sums: dict[tuple[str, bool], list[int]] = {}
-        for e in entries:
-            acc = sums.get((e.phase, e.honest))
-            if acc is None:
-                sums[e.phase, e.honest] = [e.messages, e.bits]
-            else:
-                acc[0] += e.messages
-                acc[1] += e.bits
         meter = cls()
-        for (phase, honest), (messages, bits) in sums.items():
-            meter.add(honest, phase, messages, bits)
+        for e in entries:
+            meter.add(e.honest, e.phase, e.messages, e.bits)
         return meter
 
     def as_unicast(self, n: int, phases: Iterable[str]) -> "TrafficMeter":
@@ -176,7 +169,6 @@ class DisputeGraph:
     def __init__(self, t: int):
         self.t = t
         self.pairs: set[tuple[int, int]] = set()
-        self._degree: Counter[int] = Counter()
         self._directly_identified: set[int] = set()
 
     @staticmethod
@@ -191,7 +183,6 @@ class DisputeGraph:
         if key in self.pairs:
             return False
         self.pairs.add(key)
-        self._degree.update(key)
         return True
 
     def in_dispute(self, i: int, j: int) -> bool:
@@ -204,7 +195,8 @@ class DisputeGraph:
 
     @property
     def identified_faulty(self) -> frozenset[int]:
-        by_degree = {v for v, d in self._degree.items() if d > self.t}
+        ends = [v for pair in self.pairs for v in pair]  # a node once per pair it is in
+        by_degree = {v for v in ends if ends.count(v) > self.t}
         return frozenset(by_degree | self._directly_identified)
 
 

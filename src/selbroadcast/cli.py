@@ -165,11 +165,10 @@ def _cmd_verify_bounds(args) -> int:
     n, t, L = args.n, args.t, args.L
     c = max(n, 1).bit_length()  # the smallest c >= 1 with n <= 2^c - 1
     D = generation_size(n, t, c)
-    f = args.f if args.f is not None else t
     try:  # each bound checks its arguments (n >= 3t + 1 first), before any output
         detectable = detectable_cost_bits(n, t, D)
         total = total_bb_cost_bits(n, t, L)
-        static = static_db_lower_bound_bits(n, f, L)
+        static = static_db_lower_bound_bits(n, t, L)
         floor = message_lower_bound(t)
         committee = honest_messages(n, t, L, "algo2")
     except ValueError as exc:
@@ -187,7 +186,7 @@ def _cmd_verify_bounds(args) -> int:
     except ValueError as exc:
         print(f"honest_messages(dispute_bb)   = none ({exc})")
     print(f"honest_messages(algo2)        = {committee}")
-    print(f"static_db_lower_bound(n, f={f}, L) = {static}")
+    print(f"static_db_lower_bound(n, f={t}, L) = {static}")
     return 0 if (in_range or t == 0) else 1
 
 
@@ -258,7 +257,6 @@ def main(argv=None) -> int:
     p_vb.add_argument("n", type=int)
     p_vb.add_argument("t", type=int)
     p_vb.add_argument("L", type=int)
-    p_vb.add_argument("--f", type=int, help="fault parameter of the static bound (default t)")
     p_vb.set_defaults(func=_cmd_verify_bounds)
 
     p_replay = sub.add_parser("replay", help="summarize a JSONL slot log")

@@ -38,12 +38,11 @@ function of its view alone, so it is built once per distinct view and
 shared by the receivers that hold it: once per round when every relayer
 sends one payload to all.  Each distinct payload is parsed once per
 round into its rows per instance, a relayer's own intent not at all.
-The last level is built and voted one instance at a time, so only one
-instance's last level is alive at once.  Each distinct last level is
-voted where it is built, once, and its receivers take that vote; a vote
-stops at the first depth whose entries all agree, since every strict
-majority above it returns that entry.  In an honest run that is one
-vote per instance, and it stops at once.
+The last level is voted where it is built, one view at a time, and the
+view's receivers take that vote; a vote stops at the first depth whose
+entries all agree, since every strict majority above it returns that
+entry.  In an honest run that is one vote per instance, and it stops at
+once.
 
 Payload rules, stated once for every module: `canon` (exact length only)
 and the flagged-list codec `pack`/`unpack` (any other length, silence too,
@@ -177,7 +176,6 @@ def eig_broadcast(
     own = {participants.index(s): k for k, s in enumerate(sources)}  # position -> its instance
     relayers = [p for p in range(m) if len(sources) > (p in own)]  # all but a lone source
     senders = [participants[p] for p in relayers]
-    outputs = {}
     count = 1  # values relayed per instance in relay round r: (m-2)!/(m-1-r)!
     for r, steps in enumerate(zip(*(_shape(m, faults, p) for p in own)), start=1):
         intents = {}  # a skipped relayer is silent
@@ -194,7 +192,6 @@ def eig_broadcast(
             views.setdefault(tuple(map(inbox[j].get, senders, silent)), []).append(j)
         for k, (_, gather) in enumerate(steps):
             level = held[k]
-            voted: dict[tuple, str] = {}  # last round: built level -> its vote
             for view, receivers in views.items():
                 flat = []
                 for x, payload in enumerate(view):
@@ -210,19 +207,11 @@ def eig_broadcast(
                     if rows[k]:
                         flat.extend(rows[k])
                 built = gather(flat)
-                if r == faults:  # voted where built, once per distinct last level
-                    vote = voted.get(built)
-                    if vote is None:
-                        vote = voted[built] = _vote(built, m, faults, width)
-                    built = vote  # the receivers hold their output from here
+                if r == faults:  # voted where built; the receivers hold their output
+                    built = _vote(built, m, faults, width)
                 for j in receivers:
                     level[j] = built
-            if r == faults:  # level holds the outputs; one instance's last level lives at a time
-                outputs[sources[k]] = level
-                held[k] = None
         count *= m - 1 - r
-    if not faults:
-        default = "0" * width  # a 1-tuple level is its own vote
-        for s, level in zip(sources, held):
-            outputs[s] = {j: v or default for j, (v,) in level.items()}
-    return outputs
+    if not faults:  # the source's round is the last: its one-entry levels are voted here
+        held = [{j: _vote(v, m, 0, width) for j, v in level.items()} for level in held]
+    return dict(zip(sources, held))

@@ -5,6 +5,9 @@ carry-less polynomial multiplication reduced modulo the pinned polynomial
 of degree c.  Every pinned polynomial is primitive, so x generates the
 multiplicative group: the field is built once as the table of the powers
 of x (exp) and its inverse map (log), and mul, pow and inv are lookups.
+The tables carry a zero sentinel, which RS reads too: log[0] = 2*order
+lies past every sum of two real logs (each < order), and exp reads 0
+from there on, so a product of logs needs no zero test.
 """
 
 from __future__ import annotations
@@ -38,11 +41,12 @@ class GF:
         for _ in range(self.order - 1):
             a = exp[-1] << 1  # times x, reduced
             exp.append(a ^ self.polynomial if a & self.size else a)
-        self.log = [0] * self.size
+        self.log = [2 * self.order] * self.size
         for k, a in enumerate(exp):
             self.log[a] = k
-        # Stored twice over, so a sum of two logs needs no reduction.
-        self.exp = exp + exp
+        # Stored twice over, so a sum of two real logs needs no reduction;
+        # then 0 for every sum with the sentinel.
+        self.exp = exp + exp + [0] * (2 * self.order + 1)
 
     def _check(self, *xs: int) -> None:
         for x in xs:
@@ -55,8 +59,6 @@ class GF:
 
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
-        if a == 0 or b == 0:
-            return 0
         return self.exp[self.log[a] + self.log[b]]
 
     def pow(self, a: int, k: int) -> int:

@@ -18,7 +18,7 @@ import random as _random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .adversaries import STRATEGY_REGISTRY, make_strategy, random_bits
+from .adversaries import make_strategy, random_bits
 from .bounds import (
     check_bounds,
     message_lower_bound,
@@ -50,11 +50,11 @@ class Scenario:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.strategy not in STRATEGY_REGISTRY:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.input_bits is not None and len(self.input_bits) != self.L:
             raise ValueError("scenario input must be exactly L bits")
-        SystemConfig(n=self.n, t=self.t, c=self.c, L=self.L)  # validates the point
+        config = SystemConfig(n=self.n, t=self.t, c=self.c, L=self.L)  # validates the point
+        if len(make_strategy(self.strategy, config, **self.strategy_params).corrupt_set()) > self.t:
+            raise ValueError("strategy corrupts more than t nodes")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":

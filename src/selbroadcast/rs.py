@@ -5,12 +5,13 @@ A data block is a tuple of n-2t field symbols, read as the coefficients
 evaluation of that polynomial at the n points a^0, a^1, ..., a^(n-1),
 where a is the field's generator x (the int 2; 1 when c = 1), read from
 the field's power table; the encoder keeps the logs of each point's
-powers x^0..x^(n-2t-1), so a codeword symbol is an XOR of exp/log
-products, computed by the same log-domain matrix-vector product that
-decoding uses.  Because two distinct codewords agree on at most
-n-2t-1 positions, any view with at least n-2t non-null symbols determines
-at most one consistent codeword, which is what the consistency check
-exploits.
+powers x^0..x^(n-2t-1), so a codeword symbol is an XOR of products
+read from the field's exp/log tables (whose zero sentinel makes a zero
+factor read as 0), computed by the same log-domain matrix-vector
+product that decoding uses.  Because two distinct codewords agree on at
+most n-2t-1 positions, any view with at least n-2t non-null symbols
+determines at most one consistent codeword, which is what the
+consistency check exploits.
 
 Decoding from n-2t distinct positions multiplies their symbols by the
 inverse of the Vandermonde matrix of those points.  A code keeps that
@@ -57,10 +58,6 @@ class RSCode:
         self.power_logs = tuple(
             tuple(field.log[field.pow(x, d)] for d in range(k)) for x in self.points
         )
-        # Product tables: 0 gets the log 2*order, past every sum of two
-        # real logs (each < order), and _exp reads 0 from there on.
-        self._log = [2 * field.order] + field.log[1:]
-        self._exp = field.exp + [0] * (2 * field.order + 1)
         self._decoders: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
     def encode(self, data: Sequence[int]) -> tuple[int, ...]:
@@ -102,7 +99,7 @@ class RSCode:
     def _product(self, vector: Sequence[int], rows) -> tuple[int, ...]:
         """Entry r: the XOR over i of vector[i] times the element whose log
         is rows[r][i], with a zero factor read from the sentinel as 0."""
-        log, exp = self._log, self._exp
+        log, exp = self.field.log, self.field.exp
         logs = [log[v] for v in vector]
         out = []
         for row in rows:
@@ -129,7 +126,7 @@ class RSCode:
                 num = [f.mul(a, xs[j]) ^ b for a, b in zip(num + [0], [0] + num)]
                 denom = f.mul(denom, f.add(xs[i], xs[j]))
             scale = f.inv(denom)
-            columns.append([self._log[f.mul(cf, scale)] for cf in num])
+            columns.append([f.log[f.mul(cf, scale)] for cf in num])
         return tuple(zip(*columns))
 
     def consistency_check(self, view: PartialView) -> Optional[tuple[int, ...]]:

@@ -2,6 +2,7 @@
 each.  Criteria 3-5 and 8 share a session-scoped corpus of 2800 runs
 (strategy catalog x 100 seeds x two system sizes x both algorithms)."""
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -139,6 +140,7 @@ def test_acceptance_6_consistency_check_matches_enumeration():
     blocks = [(a, b) for a in range(8) for b in range(8)]
     table = {block: code.encode(block) for block in blocks}
 
+    @functools.cache  # the views repeat: 32,000 patterns hold about 5,200 distinct ones
     def oracle(view):
         matches = [
             block

@@ -69,7 +69,7 @@ def test_honest_messages_examples():
     assert honest_messages(4, 1, 16, "dispute_bb", c=4) == 24  # D = 8: two generations of 4 * 3
 
 
-@pytest.mark.parametrize("n, t, c", [(4, 1, 3), (7, 2, 3), (10, 3, 4)])
+@pytest.mark.parametrize("n, t, c", [(3, 0, 2), (4, 1, 3), (7, 2, 3), (10, 3, 4)])
 @pytest.mark.parametrize("generations", [1, 2])
 @pytest.mark.parametrize("algorithm, run", [("dispute_bb", run_byzantine_broadcast), ("algo2", run_algorithm2)])
 def test_honest_run_sends_the_closed_form_message_count(n, t, c, generations, algorithm, run):

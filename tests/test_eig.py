@@ -225,7 +225,8 @@ def eig_instances(draw, points, value_lens):
     value_len = draw(st.sampled_from(value_lens))
     value = "".join(draw(st.lists(st.sampled_from("01"), min_size=value_len, max_size=value_len)))
     corrupt = draw(st.sets(st.sampled_from(nodes), max_size=t))
-    skip = draw(st.sets(st.sampled_from([i for i in participants if i != source]), max_size=t))
+    quiet = [i for i in participants if i != source]  # at t = 0 possibly none
+    skip = draw(st.sets(st.sampled_from(quiet), max_size=t)) if quiet else set()
     seed = draw(st.integers(0, 2**16))
     return n, t, c, L, participants, source, value, value_len, frozenset(corrupt), frozenset(skip), seed
 
@@ -250,7 +251,7 @@ def _matches_reference(instance):
 
 
 @settings(max_examples=300, deadline=None)
-@given(eig_instances([(4, 1, 3, 12), (7, 1, 3, 15), (7, 2, 3, 9)], [1, 6]))
+@given(eig_instances([(3, 0, 2, 6), (5, 0, 3, 15), (4, 1, 3, 12), (7, 1, 3, 15), (7, 2, 3, 9)], [1, 6]))
 def test_flat_levels_match_label_keyed_reference(instance):
     _matches_reference(instance)
 

@@ -183,6 +183,8 @@ def test_cli_sweep(tmp_path, capsys):
     pytest.param({"n": ["x"], "t": ["max"], "c": [3], "L": [12]}, "unsupported operand",
                  id="n_not_a_number"),
     pytest.param({"n": [4], "t": [1], "c": [3]}, "no 'L' field", id="no_L"),
+    pytest.param({"n": [4], "t": [0], "c": [3], "L": ["1D"], "strategy": ["equivocating_source"]},
+                 "strategy corrupts more than t nodes", id="corrupts_more_than_t"),
 ])
 def test_sweep_with_no_valid_point_skips_it_and_exits_1(tmp_path, capsys, grid, reason):
     path = tmp_path / "grid.json"
@@ -354,6 +356,9 @@ _SCENARIO = {"config": {"n": 4, "t": 1, "c": 3, "L": 12}, "strategy": "honest"}
                  "L must be an integer", id="run_bad_L"),
     pytest.param("run", json.dumps({**_SCENARIO, "strategy": "sneaky"}), "unknown strategy 'sneaky'",
                  id="run_unknown_strategy"),
+    pytest.param("run", json.dumps({"config": {"n": 4, "t": 0, "c": 3, "L": 12},
+                                    "strategy": "claim_liar"}),
+                 "strategy corrupts more than t nodes", id="run_corrupts_more_than_t"),
     pytest.param("sweep", None, "No such file or directory", id="sweep_missing_file"),
     pytest.param("sweep", "{not json", "not JSON", id="sweep_not_json"),
     pytest.param("sweep", "[4, 7]", "not a JSON object", id="sweep_not_an_object"),
