@@ -3,13 +3,11 @@ selective-broadcast channel."""
 
 from .adversaries import STRATEGY_REGISTRY, SlotCtx, Strategy, make_strategy, strategy_catalog
 from .bounds import (
-    ModularBoundParams,
     bit_cost_ratio,
     check_bounds,
     detectable_cost_bits,
     honest_messages,
     message_lower_bound,
-    modular_bound,
     static_db_lower_bound_bits,
     total_bb_cost_bits,
 )
@@ -78,8 +76,6 @@ __all__ = [
     "static_db_lower_bound_bits",
     "message_lower_bound",
     "honest_messages",
-    "ModularBoundParams",
-    "modular_bound",
     "check_bounds",
     "CSV_COLUMNS",
     "MetricsRecord",

@@ -169,9 +169,12 @@ class RandomizedByzantine(Strategy):
 
     name = "randomized_byzantine"
 
+    def __init__(self, config, **params):
+        super().__init__(config, **params)
+        self._corrupt = frozenset(self.rng.sample(range(1, config.n + 1), config.t))
+
     def corrupt_set(self) -> frozenset[int]:
-        t = self.config.t
-        return frozenset(self.rng.sample(range(1, self.config.n + 1), t)) if t else frozenset()
+        return self._corrupt
 
     def act(self, ctx, honest_payload):
         if not honest_payload:

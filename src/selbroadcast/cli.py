@@ -61,11 +61,12 @@ _TRACE_NAME = "trace_n{n}_t{t}_c{c}_L{L}_{algorithm}_{strategy}_{seed}_{rep}.jso
 
 def _report(record: MetricsRecord, trace_dir) -> tuple | None:
     """Write the record's trace; print PASS, or return its FAIL."""
-    label = _label(record.scenario, record.seed)
+    row = record.row
+    label = _label(record.scenario, row["seed"])
     if trace_dir:
-        write_entries(record.outcome.trace, trace_dir / _TRACE_NAME.format_map(record.row))
+        write_entries(record.outcome.trace, trace_dir / _TRACE_NAME.format_map(row))
     if not record.passed:
-        return f"FAIL {label} verdict={record.verdict}", record.seed, record.outcome.trace
+        return f"FAIL {label} verdict={row['verdict']}", row["seed"], record.outcome.trace
     print(f"PASS {label}")
     return None
 

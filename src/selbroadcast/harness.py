@@ -7,6 +7,8 @@ bit-for-bit.  Repetitions share nothing: `run_pairs` runs every
 (scenario, repetition) pair of one `run_scenario`, `sweep` or CLI
 invocation in order, through at most one process pool for all of them,
 and yields the same records as a serial run.
+
+A record is its scenario, its outcome and its CSV row.
 """
 
 from __future__ import annotations
@@ -19,12 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .adversaries import make_strategy, random_bits
-from .bounds import (
-    check_bounds,
-    message_lower_bound,
-    static_db_lower_bound_bits,
-    total_bb_cost_bits,
-)
+from .bounds import check_bounds
 from .channel import BbOutcome, SystemConfig, TraceEntry, check_bb_properties, generation_size
 from .committee import run_algorithm2
 from .dispute_bb import run_byzantine_broadcast
@@ -106,15 +103,12 @@ CSV_COLUMNS = (
 @dataclass
 class MetricsRecord:
     scenario: Scenario
-    rep: int
-    seed: int
-    verdict: str
     outcome: BbOutcome
-    row: dict
+    row: dict  # the record's CSV row, keyed by CSV_COLUMNS
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "Pass"
+        return self.row["verdict"] == "Pass"
 
 
 def scenario_input(scenario: Scenario, seed: int) -> str:
@@ -133,7 +127,6 @@ def run_repetition(scenario: Scenario, rep: int) -> MetricsRecord:
     else:
         outcome = run_algorithm2(x, config, strategy)
     verdict = check_bb_properties(outcome, x)
-    report = check_bounds(outcome, scenario.algorithm)
     meter = outcome.meter
     row = {
         "n": config.n,
@@ -157,15 +150,9 @@ def run_repetition(scenario: Scenario, rep: int) -> MetricsRecord:
         "core_bits": meter.phase_honest_bits("CORE"),
         "ann_bits": meter.phase_honest_bits("ANN"),
         "dispute_control_invocations": outcome.dc_invocations,
-        "total_bb_cost_bits": str(total_bb_cost_bits(config.n, config.t, config.L)),
-        "message_lower_bound": message_lower_bound(config.t),
-        "static_db_lower_bound": str(static_db_lower_bound_bits(config.n, config.t, config.L)),
-        "db_bits_exact": "" if report.db_bits_exact is None else report.db_bits_exact,
-        "messages_above_floor": report.messages_above_floor,
-        "bits_at_least_L": report.bits_at_least_L,
-        "static_bound_met": report.static_bound_met,
+        **check_bounds(outcome, scenario.algorithm),
     }
-    return MetricsRecord(scenario, rep, seed, str(verdict), outcome, row)
+    return MetricsRecord(scenario, outcome, row)
 
 
 def pairs(scenarios: Iterable[Scenario]) -> list[tuple[Scenario, int]]:

@@ -36,7 +36,9 @@ def test_registry_names(config):
     assert sorted(s.name for s in catalog) == sorted(STRATEGY_REGISTRY)
 
 
-def test_corrupt_sets_respect_budget(config):
+@pytest.mark.parametrize("seed", range(6))
+def test_corrupt_sets_respect_budget(seed):
+    config = SystemConfig(n=7, t=2, c=3, L=18, seed=seed)
     for strategy in strategy_catalog(config):
         corrupt = strategy.corrupt_set()
         assert len(corrupt) <= config.t, strategy.name

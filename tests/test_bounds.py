@@ -8,14 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selbroadcast import (
-    ModularBoundParams,
     SystemConfig,
     bit_cost_ratio,
     detectable_cost_bits,
     honest_messages,
     make_strategy,
     message_lower_bound,
-    modular_bound,
     static_db_lower_bound_bits,
     run_algorithm2,
     run_byzantine_broadcast,
@@ -79,23 +77,6 @@ def test_honest_run_sends_the_closed_form_message_count(n, t, c, generations, al
     assert outcome.meter.honest_messages == honest_messages(n, t, config.L, algorithm, c)
 
 
-def test_modular_bound_examples():
-    cubic = lambda m: m**3
-    assert modular_bound(ModularBoundParams(B=3, i=0, alpha=1, m_star=cubic), 4) == 2197
-    assert modular_bound(ModularBoundParams(B=2, i=1, alpha=1, m_star=cubic), 4) == 694
-    assert modular_bound(ModularBoundParams(B=2, i=2, alpha=1, m_star=cubic), 4) == 272
-
-
-def test_modular_bound_decreases_with_depth_for_cubic_cost():
-    cubic = lambda m: m**3
-    t, B = 81, 3
-    values = [
-        modular_bound(ModularBoundParams(B=B, i=i, alpha=1, m_star=cubic), t)
-        for i in range(5)
-    ]
-    assert values == sorted(values, reverse=True)
-
-
 def test_validation_errors():
     with pytest.raises(ValueError):
         detectable_cost_bits(3, 1, 6)  # n < 3t + 1
@@ -113,10 +94,6 @@ def test_validation_errors():
         honest_messages(6, 2, 8, "algo2")  # n < 3t + 1
     with pytest.raises(ValueError):
         honest_messages(4, 1, 12, "unknown")
-    with pytest.raises(ValueError):
-        modular_bound(ModularBoundParams(B=1, i=0, alpha=1, m_star=lambda m: m), 4)
-    with pytest.raises(ValueError):
-        modular_bound(ModularBoundParams(B=3, i=2, alpha=1, m_star=lambda m: m), 4)
 
 
 @given(st.integers(1, 8), st.integers(0, 20), st.integers(1, 40))

@@ -62,7 +62,7 @@ def test_honest_run_record():
     assert len(records) == 2
     for rep, record in enumerate(records):
         assert record.passed
-        assert record.seed == rep
+        assert record.row["seed"] == rep
         row = record.row
         assert row["db_bits"] == 30
         assert row["dispute_control_invocations"] == 0
@@ -283,7 +283,7 @@ def test_replay_reproduces_csv_meter_columns(tmp_path):
                     meter = TrafficMeter.from_trace(_read_trace(path))
                     replayed = {col: getattr(meter, col) for col in METER_COLUMNS}
                     assert replayed == {col: record.row[col] for col in METER_COLUMNS}, (
-                        n, algorithm, name, record.seed)
+                        n, algorithm, name, record.row["seed"])
                     assert meter.by_phase == record.outcome.meter.by_phase
 
 
