@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .channel import BbOutcome, generation_size
+from .channel import BbOutcome, generation_size, min_symbol_bits
 
 
 def detectable_cost_bits(n: int, t: int, D: int) -> Fraction:
@@ -72,7 +72,7 @@ def honest_messages(n: int, t: int, L: int, algorithm: str, c: int | None = None
     if algorithm == "algo2":
         return 1 + (3 * t + 1) * (1 + 3 * t * t) + (2 * t + 1)
     if algorithm == "dispute_bb":
-        D = generation_size(n, t, c or n.bit_length())
+        D = generation_size(n, t, c or min_symbol_bits(n))
         if L % D:
             raise ValueError(f"L must be a multiple of D = {D}")
         return L // D * n * (t + 2)

@@ -41,6 +41,11 @@ def generation_size(n: int, t: int, c: int) -> int:
     return c * (n - 2 * t)
 
 
+def min_symbol_bits(n: int) -> int:
+    """The smallest c >= 1 with n <= 2^c - 1, the default symbol size."""
+    return max(n, 1).bit_length()
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """(n, t, c, D, L) with the standard parameter constraints."""
@@ -224,18 +229,6 @@ class TraceEntry:
     phase: str
     honest: bool
     messages: int = 1
-
-    def as_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "slot": self.slot,
-            "sender": self.sender,
-            "kind": self.kind,
-            "bits": self.bits,
-            "phase": self.phase,
-            "honest": self.honest,
-            "messages": self.messages,
-        }
 
 
 @cache

@@ -30,7 +30,7 @@ from .bounds import (
     static_db_lower_bound_bits,
     total_bb_cost_bits,
 )
-from .channel import TraceEntry, TrafficMeter, generation_size
+from .channel import TraceEntry, TrafficMeter, generation_size, min_symbol_bits
 from .harness import (
     MetricsRecord,
     Scenario,
@@ -164,7 +164,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify_bounds(args) -> int:
     n, t, L = args.n, args.t, args.L
-    c = max(n, 1).bit_length()  # the smallest c >= 1 with n <= 2^c - 1
+    c = min_symbol_bits(n)
     D = generation_size(n, t, c)
     try:  # each bound checks its arguments (n >= 3t + 1 first), before any output
         detectable = detectable_cost_bits(n, t, D)

@@ -147,7 +147,7 @@ def derive_disputes(
 
     def propose(a: int, b: int):
         key = (a, b) if a < b else (b, a)
-        if not disputes.in_dispute(a, b) and key not in new:
+        if key not in new:
             new.append(key)
 
     encoded: dict[int, Optional[tuple[int, ...]]] = {}

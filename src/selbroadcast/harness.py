@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import random as _random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -223,7 +222,12 @@ def write_trace(record: MetricsRecord, path) -> None:
     write_entries(record.outcome.trace, path)
 
 
+_TRACE_LINE = '{"bits": %d, "honest": %s, "kind": "%s", "messages": %d, "phase": "%s", "round": %d, "sender": %d, "slot": %d}\n'
+
+
 def write_entries(entries: Iterable[TraceEntry], path) -> None:
+    """One line per delivered slot: its fields, keys sorted, in the bytes
+    json.dumps(..., sort_keys=True) writes (kind and phase are ASCII names)."""
     with open(path, "w") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry.as_dict(), sort_keys=True) + "\n")
+        fh.write("".join([_TRACE_LINE % (e.bits, "true" if e.honest else "false", e.kind, e.messages,
+                                         e.phase, e.round, e.sender, e.slot) for e in entries]))

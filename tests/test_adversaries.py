@@ -61,7 +61,7 @@ def test_randomized_strategy_is_seed_deterministic(config):
         for _ in range(2)
     ]
     assert runs[0].outputs == runs[1].outputs
-    assert [e.as_dict() for e in runs[0].trace] == [e.as_dict() for e in runs[1].trace]
+    assert runs[0].trace == runs[1].trace
 
 
 def test_strategy_seed_param_changes_behaviour(config):

@@ -15,6 +15,7 @@ from selbroadcast.channel import (
     TrafficMeter,
     channel_deliver,
     check_bb_properties,
+    min_symbol_bits,
 )
 
 
@@ -29,6 +30,21 @@ def test_config_invariants():
         SystemConfig(n=4, t=1, c=3, L=13)  # L not a multiple of D
     with pytest.raises(ValueError):
         SystemConfig(n=4, t=1, c=3, L=12, D=5)
+    with pytest.raises(ValueError, match="D must equal"):
+        SystemConfig(n=4, t=1, c=3, L=12, D=4)  # L is a multiple of D: only the D rule refuses it
+    assert SystemConfig(n=2, t=0, c=2, L=4).D == 4  # the smallest system
+    with pytest.raises(ValueError, match="n >= 2"):
+        SystemConfig(n=1, t=0, c=1, L=1)
+    with pytest.raises(ValueError, match="positive multiple"):
+        SystemConfig(n=4, t=1, c=3, L=0)
+
+
+def test_min_symbol_bits_is_the_smallest_c_a_config_accepts():
+    for n in range(2, 256):
+        c = min_symbol_bits(n)
+        SystemConfig(n=n, t=0, c=c, L=c * n)
+        with pytest.raises(ValueError, match="2\\^c"):
+            SystemConfig(n=n, t=0, c=c - 1, L=(c - 1) * n)
 
 
 def _sim(strategy_name="honest"):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from selbroadcast import dispute_bb
-from selbroadcast.adversaries import Strategy, make_strategy, random_bits
+from selbroadcast.adversaries import Strategy, SymbolCorruptor, make_strategy, random_bits
 from selbroadcast.channel import (
     Broadcast,
     DisputeGraph,
@@ -177,6 +177,26 @@ def test_derive_no_pairs_from_consistent_claims(code):
     assert derive_disputes(code, (1, 0), claims, DisputeGraph(1)) == []
 
 
+class _CorruptAndAccuse(SymbolCorruptor):
+    """Node n sends p2 a wrong symbol, as symbol_corruptor does, then
+    claims that p2's symbol reached it wrong: p2 and node n accuse each
+    other, so dispute control finds their pair twice."""
+
+    def act(self, ctx, honest_payload):
+        if ctx.extra.get("purpose") == "dc_claim" and ctx.tag == "eig.source":
+            code = RSCode(self.config.n, self.config.t, GF(self.config.c))
+            block, view = parse_claim(honest_payload, code)
+            view[1] ^= 1  # p2's symbol
+            return Broadcast(serialize_claim(block, view, code))
+        return super().act(ctx, honest_payload)
+
+
+def test_mutual_accusations_give_one_new_pair():
+    cfg = SystemConfig(n=4, t=1, c=3, L=6)
+    out = run_byzantine_broadcast("101100", cfg, _CorruptAndAccuse(cfg))
+    assert out.generations[0].new_pairs == ((2, 4),)
+
+
 # --- full protocol ------------------------------------------------------
 
 
@@ -261,7 +281,7 @@ def test_determinism():
     x1, out1 = run(7, 2, 3, 18, "randomized_byzantine", seed=5)
     x2, out2 = run(7, 2, 3, 18, "randomized_byzantine", seed=5)
     assert out1.outputs == out2.outputs
-    assert [e.as_dict() for e in out1.trace] == [e.as_dict() for e in out2.trace]
+    assert out1.trace == out2.trace
     assert out1.meter.honest_bits == out2.meter.honest_bits
 
 

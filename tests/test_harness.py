@@ -1,11 +1,16 @@
 """Scenario runner and command-line interface: record contents, sweeps,
 CSV/trace determinism, and exit codes."""
 
+import dataclasses
+import functools
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selbroadcast import (
     CSV_COLUMNS,
@@ -249,6 +254,16 @@ def test_cli_verify_bounds(capsys):
     assert "honest_messages(algo2)        = 20" in printed
 
 
+@pytest.mark.parametrize("point, header", [
+    (("4", "1", "12"), "n=4 t=1 L=12 (c=3, D=6)"),
+    (("7", "2", "18"), "n=7 t=2 L=18 (c=3, D=9)"),
+    (("10", "3", "160"), "n=10 t=3 L=160 (c=4, D=16)"),
+])
+def test_cli_verify_bounds_takes_the_smallest_symbol_size(capsys, point, header):
+    assert main(["verify-bounds", *point]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == header
+
+
 def test_cli_verify_bounds_skips_an_invalid_point(capsys):
     # n = 4 < 3t + 1 = 7: one SKIP line, exit 1, no traceback.
     assert main(["verify-bounds", "4", "2", "12"]) == 1
@@ -270,21 +285,63 @@ def _read_trace(path):
     return [TraceEntry(**json.loads(line)) for line in path.read_text().splitlines()]
 
 
-def test_replay_reproduces_csv_meter_columns(tmp_path):
-    # the acceptance corpus sizes, both algorithms, every strategy, seeds 0-4
+@functools.cache
+def _corpus() -> tuple:
+    """The acceptance corpus sizes, both algorithms, every strategy,
+    seeds 0-4: 140 records, in corpus order."""
+    records = []
     for n, t, c, L in ((4, 1, 3, 12), (7, 2, 3, 18)):
         for algorithm in ("dispute_bb", "algo2"):
             for name in sorted(STRATEGY_REGISTRY):
-                scenario = Scenario(n=n, t=t, c=c, L=L, algorithm=algorithm,
-                                    strategy=name, repetitions=5)
-                for record in run_scenario(scenario):
-                    path = tmp_path / "trace.jsonl"
-                    write_trace(record, path)
-                    meter = TrafficMeter.from_trace(_read_trace(path))
-                    replayed = {col: getattr(meter, col) for col in METER_COLUMNS}
-                    assert replayed == {col: record.row[col] for col in METER_COLUMNS}, (
-                        n, algorithm, name, record.row["seed"])
-                    assert meter.by_phase == record.outcome.meter.by_phase
+                records.extend(run_scenario(Scenario(
+                    n=n, t=t, c=c, L=L, algorithm=algorithm, strategy=name, repetitions=5)))
+    return tuple(records)
+
+
+def test_replay_reproduces_csv_meter_columns(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    for record in _corpus():
+        write_trace(record, path)
+        meter = TrafficMeter.from_trace(_read_trace(path))
+        replayed = {col: getattr(meter, col) for col in METER_COLUMNS}
+        row = record.row
+        assert replayed == {col: row[col] for col in METER_COLUMNS}, (
+            row["n"], row["algorithm"], row["strategy"], row["seed"])
+        assert meter.by_phase == record.outcome.meter.by_phase
+
+
+def _json_lines(entries) -> str:
+    return "".join(json.dumps(dataclasses.asdict(e), sort_keys=True) + "\n" for e in entries)
+
+
+def test_corpus_traces_are_the_sorted_key_json_of_each_entry(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    for record in _corpus():
+        write_trace(record, path)
+        assert path.read_text() == _json_lines(record.outcome.trace)
+        assert _read_trace(path) == record.outcome.trace
+
+
+_naturals = st.integers(min_value=0)
+_entries = st.builds(
+    TraceEntry,
+    round=_naturals, slot=_naturals, sender=_naturals,
+    kind=st.sampled_from(["broadcast", "selective"]),
+    bits=_naturals,
+    phase=st.sampled_from(["DB", "DD", "DC", "SRC", "CORE", "ANN"]),
+    honest=st.booleans(),
+    messages=_naturals,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_entries, max_size=5))
+def test_drawn_trace_entries_are_written_as_sorted_key_json(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        harness.write_entries(entries, path)
+        assert path.read_text() == _json_lines(entries)
+        assert _read_trace(path) == entries
 
 
 def test_cli_replay_counts_selective_sends_per_receiver(tmp_path, capsys):
@@ -375,7 +432,7 @@ def test_cli_refuses_a_file_that_is_not_a_scenario(tmp_path, capsys, command, te
     assert captured.err.startswith(f"{path}: ") and reason in captured.err, captured.err
 
 
-# sha256 over the acceptance corpus below: the CSV of every record, then
+# sha256 over the acceptance corpus (`_corpus`): the CSV of every record, then
 # each record's JSONL trace and its outputs as sorted JSON, in corpus
 # order.  A change that alters outputs or traces on purpose updates this
 # digest and says so in CHANGES.md.
@@ -383,12 +440,7 @@ CORPUS_DIGEST = "fca29b33d47ff9770688fd742d743c4c8ce6d9c859495729e3e6e2762849992
 
 
 def test_acceptance_corpus_bytes_are_pinned(tmp_path):
-    records = []
-    for n, t, c, L in ((4, 1, 3, 12), (7, 2, 3, 18)):
-        for algorithm in ("dispute_bb", "algo2"):
-            for name in sorted(STRATEGY_REGISTRY):
-                records.extend(run_scenario(Scenario(
-                    n=n, t=t, c=c, L=L, algorithm=algorithm, strategy=name, repetitions=5)))
+    records = _corpus()
     digest = hashlib.sha256()
     path = tmp_path / "out"
     write_csv(records, path)
