@@ -1,7 +1,7 @@
 """Byzantine Broadcast protocols and a deterministic simulator for the
 selective-broadcast channel."""
 
-from .adversaries import STRATEGY_REGISTRY, SlotCtx, Strategy, make_strategy, strategy_catalog
+from .adversaries import STRATEGY_REGISTRY, SlotCtx, Strategy, make_strategy
 from .bounds import (
     bit_cost_ratio,
     check_bounds,
@@ -13,11 +13,9 @@ from .bounds import (
 )
 from .channel import (
     BbOutcome,
-    Broadcast,
     DisputeGraph,
     ModelViolation,
     ProtocolError,
-    Selective,
     Simulation,
     SystemConfig,
     TrafficMeter,
@@ -35,7 +33,6 @@ from .harness import (
     Scenario,
     run_repetition,
     run_scenario,
-    sweep,
     write_csv,
     write_trace,
 )
@@ -48,8 +45,6 @@ __all__ = [
     "bits_to_symbols",
     "symbols_to_bits",
     "SystemConfig",
-    "Broadcast",
-    "Selective",
     "Simulation",
     "TrafficMeter",
     "DisputeGraph",
@@ -63,7 +58,6 @@ __all__ = [
     "SlotCtx",
     "STRATEGY_REGISTRY",
     "make_strategy",
-    "strategy_catalog",
     "eig_broadcast",
     "run_byzantine_broadcast",
     "CommitteeLayout",
@@ -82,7 +76,6 @@ __all__ = [
     "Scenario",
     "run_repetition",
     "run_scenario",
-    "sweep",
     "write_csv",
     "write_trace",
 ]

@@ -5,9 +5,10 @@ execution.  The engine computes, for every scheduled sender, the payload
 it would transmit when following the protocol; for compromised senders
 that payload is handed to the strategy together with a SlotCtx (which
 holds the fault-free transmissions of the current round, i.e. the
-adversary is rushing), and the strategy returns the actual transmission.
-The default is to behave honestly, so each strategy only overrides the
-slots it attacks.
+adversary is rushing), and the strategy returns the actual transmission:
+a `str` to broadcast (`""` is silence) or a `dict` receiver -> payload
+for a selective send, as `channel` defines them.  The default is to
+behave honestly, so each strategy only overrides the slots it attacks.
 
 Slot tags used by the protocols:
   "source_value"  the source's value slot (the opening broadcast of both
@@ -28,7 +29,7 @@ from __future__ import annotations
 import random as _random
 import zlib
 
-from .channel import Broadcast, Selective, SlotCtx, SystemConfig, Transmission
+from .channel import SlotCtx, SystemConfig, Transmission
 
 
 def random_bits(rng: _random.Random, k: int) -> str:
@@ -62,7 +63,7 @@ class Strategy:
         return frozenset()
 
     def act(self, ctx: SlotCtx, honest_payload: str) -> Transmission:
-        return Broadcast(honest_payload)
+        return honest_payload
 
 
 class CrashSilent(Strategy):
@@ -75,7 +76,7 @@ class CrashSilent(Strategy):
         return frozenset(range(n - t + 1, n + 1))
 
     def act(self, ctx, honest_payload):
-        return Broadcast("")
+        return ""
 
 
 class EquivocatingSource(Strategy):
@@ -96,11 +97,11 @@ class EquivocatingSource(Strategy):
 
     def act(self, ctx, honest_payload):
         if ctx.tag != "source_value" or not honest_payload:
-            return Broadcast(honest_payload)
+            return honest_payload
         v = _flip(honest_payload)
         victim = ctx.receivers[self._slot % len(ctx.receivers)]
         self._slot += 1
-        return Selective({r: (v if r == victim else honest_payload) for r in ctx.receivers})
+        return {r: (v if r == victim else honest_payload) for r in ctx.receivers}
 
 
 class SymbolCorruptor(Strategy):
@@ -117,14 +118,14 @@ class SymbolCorruptor(Strategy):
 
     def act(self, ctx, honest_payload):
         if ctx.tag != "alg1.symbol" or not honest_payload:
-            return Broadcast(honest_payload)
+            return honest_payload
         wrong = _flip(honest_payload, len(honest_payload) - 1)
         if self.params.get("mode", "subset") == "all":
-            return Broadcast(wrong)
+            return wrong
         # Lowest-id peer: the source holds no symbol view, so sending the
         # wrong symbol there would go unnoticed.
         target = next(r for r in ctx.receivers if r != 1)
-        return Selective({r: (wrong if r == target else honest_payload) for r in ctx.receivers})
+        return {r: (wrong if r == target else honest_payload) for r in ctx.receivers}
 
 
 class DetectionLiar(Strategy):
@@ -139,8 +140,8 @@ class DetectionLiar(Strategy):
     def act(self, ctx, honest_payload):
         if ctx.tag == "eig.source" and ctx.extra.get("purpose") == "dd":
             last = ctx.receivers[-1]
-            return Selective({r: ("0" if r == last else "1") for r in ctx.receivers})
-        return Broadcast(honest_payload)
+            return {r: ("0" if r == last else "1") for r in ctx.receivers}
+        return honest_payload
 
 
 class ClaimLiar(Strategy):
@@ -155,11 +156,11 @@ class ClaimLiar(Strategy):
     def act(self, ctx, honest_payload):
         purpose = ctx.extra.get("purpose")
         if ctx.tag == "eig.source" and purpose == "dd":
-            return Broadcast("1")
+            return "1"
         if ctx.tag == "eig.source" and purpose == "dc_claim" and honest_payload:
             # Bit 1 is the first claimed block bit (`dispute_bb.serialize_claim`).
-            return Broadcast(_flip(honest_payload, 1))
-        return Broadcast(honest_payload)
+            return _flip(honest_payload, 1)
+        return honest_payload
 
 
 class RandomizedByzantine(Strategy):
@@ -178,9 +179,9 @@ class RandomizedByzantine(Strategy):
 
     def act(self, ctx, honest_payload):
         if not honest_payload:
-            return Broadcast("")
+            return ""
         bits = len(honest_payload)
-        return Selective({r: random_bits(self.rng, bits) for r in ctx.receivers})
+        return {r: random_bits(self.rng, bits) for r in ctx.receivers}
 
 
 STRATEGY_REGISTRY: dict[str, type[Strategy]] = {
@@ -203,8 +204,3 @@ def make_strategy(name: str, config: SystemConfig, **params) -> Strategy:
     except KeyError:
         raise ValueError(f"unknown strategy {name!r}") from None
     return cls(config, **params)
-
-
-def strategy_catalog(config: SystemConfig, **params) -> list[Strategy]:
-    """One instance of every registered strategy for this configuration."""
-    return [cls(config, **params) for cls in STRATEGY_REGISTRY.values()]

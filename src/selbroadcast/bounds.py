@@ -12,28 +12,30 @@ from fractions import Fraction
 from .channel import BbOutcome, generation_size, min_symbol_bits
 
 
+def bit_cost_ratio(n: int, t: int) -> Fraction:
+    """Detectable-Broadcast bits per input bit, (2n-2t-1)/(n-2t): the
+    source's bit plus (n-1)/(n-2t) bits of coded symbols.  Strictly
+    between 2 and 4 for n >= 3t+1, t >= 1."""
+    if t < 0 or n < 3 * t + 1:
+        raise ValueError("need n >= 3t + 1")
+    return Fraction(2 * n - 2 * t - 1, n - 2 * t)
+
+
 def detectable_cost_bits(n: int, t: int, D: int) -> Fraction:
     """Worst-case bits of one D-bit Detectable Broadcast instance:
     D from the source plus one coded symbol from each of n-1 peers."""
-    if t < 0 or n < 3 * t + 1:
-        raise ValueError("need n >= 3t + 1")
+    ratio = bit_cost_ratio(n, t)
     if D <= 0 or D % (n - 2 * t):
         raise ValueError("D must be a positive multiple of n - 2t")
-    return D + Fraction((n - 1) * D, n - 2 * t)
+    return D * ratio
 
 
 def total_bb_cost_bits(n: int, t: int, L: int) -> Fraction:
     """Detectable-Broadcast bits over all generations of an L-bit input."""
-    if t < 0 or n < 3 * t + 1:
-        raise ValueError("need n >= 3t + 1")
+    ratio = bit_cost_ratio(n, t)
     if L <= 0:
         raise ValueError("L must be positive")
-    return Fraction(L * (2 * n - 2 * t - 1), n - 2 * t)
-
-
-def bit_cost_ratio(n: int, t: int) -> Fraction:
-    """total_bb_cost_bits / L; strictly between 2 and 4 for n >= 3t+1, t >= 1."""
-    return Fraction(2 * n - 2 * t - 1, n - 2 * t)
+    return L * ratio
 
 
 def static_db_lower_bound_bits(n: int, f: int, L: int) -> Fraction:

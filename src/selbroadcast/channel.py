@@ -1,11 +1,12 @@
 """Synchronous selective-broadcast channel, traffic accounting and the
 Byzantine Broadcast correctness predicates.
 
-A fault-free sender can only broadcast: one message, received identically
-and with correct attribution by every other node.  A faulty sender may
-instead deliver a different payload to each receiver ("selective").
-Transmissions never collide and are never lost; an empty payload is
-silence and costs nothing.  A sender knows what it meant to send: its own
+A transmission is a `str` or a `dict`.  A `str` is a broadcast: one
+message, received identically and with correct attribution by every other
+node; `""` is silence and costs nothing.  A `dict` maps each receiver to
+its own payload (a "selective" send), and only a faulty sender may make
+one; a receiver whose payload is `""` hears nothing.  Transmissions never
+collide and are never lost.  A sender knows what it meant to send: its own
 inbox holds its intent, never metered, so no protocol re-inserts it.
 
 Traffic by fault-free nodes and traffic by compromised nodes are metered
@@ -81,17 +82,7 @@ class SystemConfig:
         return range(2, self.n + 1)
 
 
-@dataclass(frozen=True, slots=True)
-class Broadcast:
-    payload: str  # bit string; "" means silence
-
-
-@dataclass(frozen=True, slots=True)
-class Selective:
-    payloads: Mapping[int, str]  # receiver -> bit string
-
-
-Transmission = Broadcast | Selective
+Transmission = str | dict  # a broadcast, or receiver -> payload
 
 
 @dataclass
@@ -246,14 +237,12 @@ def channel_deliver(
     payload.  Raises ModelViolation if a fault-free sender attempts a
     selective transmission.
     """
-    if isinstance(tx, Broadcast):
-        if not tx.payload:
-            return {}
-        return dict.fromkeys(_others(n, sender), tx.payload)
-    if isinstance(tx, Selective):
+    if isinstance(tx, str):
+        return dict.fromkeys(_others(n, sender), tx) if tx else {}
+    if isinstance(tx, dict):
         if sender not in faulty:
             raise ModelViolation(f"fault-free node {sender} attempted selective send")
-        return {r: tx.payloads[r] for r in sorted(tx.payloads) if r != sender and tx.payloads[r]}
+        return {r: tx[r] for r in sorted(tx) if r != sender and tx[r]}
     raise TypeError(f"unknown transmission {tx!r}")
 
 
@@ -296,7 +285,7 @@ class Simulation:
             inboxes[s][s] = intents[s]
             honest = s not in faulty
             if honest:
-                tx = Broadcast(intents[s])
+                tx = intents[s]
             else:
                 if honest_view is None:
                     honest_view = {h: intents[h] for h in senders if h not in faulty}
@@ -305,8 +294,8 @@ class Simulation:
             delivered = channel_deliver(s, tx, n, faulty)
             if not delivered:
                 continue
-            if isinstance(tx, Broadcast):
-                kind, messages, bits = "broadcast", 1, len(tx.payload)
+            if isinstance(tx, str):
+                kind, messages, bits = "broadcast", 1, len(tx)
             else:
                 kind, messages = "selective", len(delivered)
                 bits = sum(map(len, delivered.values()))

@@ -11,10 +11,8 @@ The consensus core has every active node EIG-broadcast its received
 value inside the committee and decides by plurality over the agreed
 vector (ties broken toward the smallest value).  Each value passes one
 EIG instance per call, not one batch: the values are L bits long, and a
-batch keeps every instance's levels alive at once.  A prototype that
-batched the core and dispute_bb's DC raised the `committee_byzantine`
-benchmark's peak memory from 27.3 to 34.7 MB, and that of a (13,4,4),
-L=20 `randomized_byzantine` `dispute_bb` run from 39.7 to 149.5 MB.
+batch keeps every instance's levels alive at once (`dispute_bb` gives
+what batching cost in a prototype).
 
 Every step in which a fault-free node would send identical messages to
 several receivers is a single channel broadcast;

@@ -4,9 +4,9 @@ A scenario pins (n, t, c, L), an algorithm, a strategy and a repetition
 count; repetition k runs with seed base_seed + k and a pseudo-random
 L-bit input derived from that seed, so every record is reproducible
 bit-for-bit.  Repetitions share nothing: `run_pairs` runs every
-(scenario, repetition) pair of one `run_scenario`, `sweep` or CLI
-invocation in order, through at most one process pool for all of them,
-and yields the same records as a serial run.
+(scenario, repetition) pair of one `run_scenario` or CLI invocation in
+order, through at most one process pool for all of them, and yields the
+same records as a serial run.
 
 A record is its scenario, its outcome and its CSV row.
 """
@@ -175,14 +175,6 @@ def run_pairs(todo: list[tuple[Scenario, int]], jobs: int = 1) -> Iterator[Metri
 
 def run_scenario(scenario: Scenario, jobs: int = 1) -> list[MetricsRecord]:
     return list(run_pairs(pairs([scenario]), jobs))
-
-
-def sweep(grid: dict, jobs: int = 1) -> tuple[list[MetricsRecord], list[str]]:
-    """Cartesian product over grid axes.  Points that do not make a valid
-    Scenario are reported and skipped; an exception raised while running
-    a valid point propagates."""
-    scenarios, errors = grid_scenarios(grid)
-    return list(run_pairs(pairs(scenarios), jobs)), errors
 
 
 def grid_scenarios(grid: dict) -> tuple[list[Scenario], list[str]]:

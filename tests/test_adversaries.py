@@ -1,4 +1,4 @@
-"""Adversary strategy catalog: registry shape, corrupt-set discipline,
+"""Adversary strategies: registry shape, corrupt-set discipline,
 and deterministic behaviour."""
 
 import random
@@ -12,7 +12,6 @@ from selbroadcast import (
     SystemConfig,
     make_strategy,
     run_byzantine_broadcast,
-    strategy_catalog,
 )
 from selbroadcast.adversaries import random_bits
 
@@ -32,14 +31,13 @@ def test_registry_names(config):
         "claim_liar",
         "randomized_byzantine",
     }
-    catalog = strategy_catalog(config)
-    assert sorted(s.name for s in catalog) == sorted(STRATEGY_REGISTRY)
+    assert [cls(config).name for cls in STRATEGY_REGISTRY.values()] == list(STRATEGY_REGISTRY)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_corrupt_sets_respect_budget(seed):
     config = SystemConfig(n=7, t=2, c=3, L=18, seed=seed)
-    for strategy in strategy_catalog(config):
+    for strategy in (cls(config) for cls in STRATEGY_REGISTRY.values()):
         corrupt = strategy.corrupt_set()
         assert len(corrupt) <= config.t, strategy.name
         assert corrupt <= set(config.nodes), strategy.name

@@ -78,6 +78,9 @@ def test_honest_run_sends_the_closed_form_message_count(n, t, c, generations, al
 
 
 def test_validation_errors():
+    for bound in (bit_cost_ratio, lambda n, t: total_bb_cost_bits(n, t, 12)):
+        with pytest.raises(ValueError, match="n >= 3t"):
+            bound(3, 1)
     with pytest.raises(ValueError):
         detectable_cost_bits(3, 1, 6)  # n < 3t + 1
     with pytest.raises(ValueError):

@@ -1,13 +1,13 @@
+import re
+
 import pytest
 
 from selbroadcast import adversaries
 from selbroadcast.adversaries import Strategy, make_strategy
 from selbroadcast.channel import (
     BbOutcome,
-    Broadcast,
     DisputeGraph,
     ModelViolation,
-    Selective,
     Simulation,
     SlotCtx,
     SystemConfig,
@@ -53,7 +53,7 @@ def _sim(strategy_name="honest"):
 
 
 def test_broadcast_delivery_and_accounting():
-    delivered = channel_deliver(2, Broadcast("101101"), 4, frozenset())
+    delivered = channel_deliver(2, "101101", 4, frozenset())
     assert delivered == {1: "101101", 3: "101101", 4: "101101"}
     sim = _sim()
     sim.round({2: "101101"}, "DB", "alg1.symbol")
@@ -65,7 +65,7 @@ def test_broadcast_delivery_and_accounting():
 
 
 def test_selective_delivery_from_faulty_sender():
-    delivered = channel_deliver(1, Selective({2: "0", 3: "1", 4: "1"}), 4, frozenset({1}))
+    delivered = channel_deliver(1, {2: "0", 3: "1", 4: "1"}, 4, frozenset({1}))
     assert delivered == {2: "0", 3: "1", 4: "1"}
     sim = _sim("equivocating_source")  # node 1 sends one receiver a flipped bit
     sim.round({1: "1"}, "DB", "source_value")
@@ -77,7 +77,7 @@ def test_selective_delivery_from_faulty_sender():
 
 
 def test_silence_is_free():
-    assert channel_deliver(2, Broadcast(""), 4, frozenset()) == {}
+    assert channel_deliver(2, "", 4, frozenset()) == {}
     sim = _sim()
     sim.round({2: ""}, "DB", "alg1.symbol")
     meter = TrafficMeter.from_trace(sim.trace)
@@ -88,7 +88,46 @@ def test_silence_is_free():
 
 def test_fault_free_selective_is_a_model_violation():
     with pytest.raises(ModelViolation):
-        channel_deliver(2, Selective({3: "1"}), 4, frozenset())
+        channel_deliver(2, {3: "1"}, 4, frozenset())
+
+
+class _Sends(Strategy):
+    """Node 1 is faulty and transmits `tx` in every slot."""
+
+    def corrupt_set(self):
+        return frozenset({1})
+
+    def act(self, ctx, honest_payload):
+        return self.params["tx"]
+
+
+def _faulty_round(tx):
+    config = SystemConfig(n=4, t=1, c=3, L=12)
+    sim = Simulation(config, _Sends(config, tx=tx))
+    return sim, sim.round({1: "1", 2: "01"}, "DB", "source_value")
+
+
+@pytest.mark.parametrize("tx, heard, entry", [
+    ("110", ["110"] * 3, TraceEntry(1, 1, 1, "broadcast", 3, "DB", False, 1)),
+    ({2: "11", 3: "111", 4: "1111"}, ["11", "111", "1111"], TraceEntry(1, 1, 1, "selective", 9, "DB", False, 3)),
+    # a partly silent selective send reaches, and costs, only its listeners
+    ({2: "10", 3: "", 4: "1"}, ["10", None, "1"], TraceEntry(1, 1, 1, "selective", 3, "DB", False, 2)),
+], ids=["str", "dict", "partly_silent_dict"])
+def test_act_returns_a_str_or_a_dict(tx, heard, entry):
+    sim, inboxes = _faulty_round(tx)
+    assert [inboxes[r].get(1) for r in (2, 3, 4)] == heard
+    assert sim.trace[0] == entry
+
+
+@pytest.mark.parametrize("tx", [None, ["1"]], ids=["none", "list"])
+def test_any_other_transmission_is_a_type_error(tx):
+    # from a strategy's act and as a fault-free intent alike
+    with pytest.raises(TypeError, match=re.escape(f"unknown transmission {tx!r}")):
+        _faulty_round(tx)
+    sim = _sim()
+    with pytest.raises(TypeError, match="unknown transmission"):
+        sim.round({2: tx}, "DB", "alg1.symbol")
+    assert sim.trace == []
 
 
 def test_unicast_metering():
@@ -177,7 +216,7 @@ class _Recorder(Strategy):
 
     def act(self, ctx, honest_payload):
         self.seen.append((ctx, honest_payload))
-        return Selective({r: honest_payload + str(r % 2) for r in ctx.receivers})
+        return {r: honest_payload + str(r % 2) for r in ctx.receivers}
 
 
 class _Untouchable(Strategy):

@@ -5,7 +5,6 @@ import pytest
 from selbroadcast import dispute_bb
 from selbroadcast.adversaries import Strategy, SymbolCorruptor, make_strategy, random_bits
 from selbroadcast.channel import (
-    Broadcast,
     DisputeGraph,
     ProtocolError,
     Simulation,
@@ -97,8 +96,8 @@ class _ShortPayloads(Strategy):
 
     def act(self, ctx, honest_payload):
         if ctx.tag in ("source_value", "alg1.symbol"):
-            return Broadcast(honest_payload[: -self.params["cut"]])
-        return Broadcast(honest_payload)
+            return honest_payload[: -self.params["cut"]]
+        return honest_payload
 
 
 def test_wrong_length_db_payloads_read_as_silence(monkeypatch):
@@ -187,7 +186,7 @@ class _CorruptAndAccuse(SymbolCorruptor):
             code = RSCode(self.config.n, self.config.t, GF(self.config.c))
             block, view = parse_claim(honest_payload, code)
             view[1] ^= 1  # p2's symbol
-            return Broadcast(serialize_claim(block, view, code))
+            return serialize_claim(block, view, code)
         return super().act(ctx, honest_payload)
 
 
@@ -248,6 +247,14 @@ def test_consistent_lie_detected_by_all_or_harmless():
             continue
         flags = {g.detected[i] for i in (2, 3) if i in g.detected}
         assert len(flags) == 1  # same inconsistent view everywhere
+
+
+def test_fault_free_detection_must_yield_a_new_pair(monkeypatch):
+    # symbol_corruptor sends p2 a wrong symbol, so p2, fault-free,
+    # detects; dispute control that then derives no pair is unsound.
+    monkeypatch.setattr(dispute_bb, "derive_disputes", lambda *args: [])
+    with pytest.raises(ProtocolError, match="derived no new pair"):
+        run(4, 1, 3, 6, "symbol_corruptor")
 
 
 def test_detection_liar_forces_dispute_control_then_exclusion():

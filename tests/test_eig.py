@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eig_reference
-from selbroadcast.adversaries import Broadcast, Selective, Strategy, make_strategy, random_bits
+from selbroadcast.adversaries import Strategy, make_strategy, random_bits
 from selbroadcast.channel import Simulation, SystemConfig, TrafficMeter, check_bb_properties
 from selbroadcast.committee import run_algorithm2
 from selbroadcast.dispute_bb import run_byzantine_broadcast
@@ -30,8 +30,8 @@ class SplitSource(Strategy):
     def act(self, ctx, honest_payload):
         if ctx.tag == "eig.source":
             first = ctx.receivers[0]
-            return Selective({r: ("0" if r == first else "1") for r in ctx.receivers})
-        return Broadcast(honest_payload)
+            return {r: ("0" if r == first else "1") for r in ctx.receivers}
+        return honest_payload
 
 
 class CollusionPair(Strategy):
@@ -45,12 +45,10 @@ class CollusionPair(Strategy):
     def act(self, ctx, honest_payload):
         if ctx.sender == 1 and ctx.tag == "eig.source":
             half = len(ctx.receivers) // 2
-            return Selective(
-                {r: ("0" if k < half else "1") for k, r in enumerate(ctx.receivers)}
-            )
+            return {r: ("0" if k < half else "1") for k, r in enumerate(ctx.receivers)}
         if not honest_payload:
-            return Broadcast("")
-        return Selective({r: random_bits(self.rng, len(honest_payload)) for r in ctx.receivers})
+            return ""
+        return {r: random_bits(self.rng, len(honest_payload)) for r in ctx.receivers}
 
 
 def test_honest_source_all_agree():
@@ -123,6 +121,14 @@ def test_participant_count_validated():
     sim = sim_for(4, 1, 3, 12)
     with pytest.raises(ValueError):
         eig_broadcast(sim, {1: "1"}, [1, 2, 3], "DD", "dd")
+
+
+@pytest.mark.parametrize("values", [{5: "1"}, {1: "1", 5: "0"}, {}], ids=["outsider", "one_outsider", "empty"])
+def test_sources_must_be_participants(values):
+    sim = sim_for(5, 1, 3, 9)
+    with pytest.raises(ValueError, match="every source must participate"):
+        eig_broadcast(sim, values, range(1, 5), "DD", "dd")
+    assert sim.trace == []  # refused before any slot
 
 
 def test_batch_of_mixed_widths_is_refused():
@@ -207,7 +213,7 @@ class RelayFuzzer(Strategy):
                 out[r] = honest_payload[:k] + "10"[int(honest_payload[k])] + honest_payload[k + 1 :]
             else:
                 out[r] = "".join(rnd.choice("01") for _ in range(size))
-        return Selective(out)
+        return out
 
 
 @st.composite
@@ -285,7 +291,7 @@ class Replay(Strategy):
         return self.params["corrupt"]
 
     def act(self, ctx, honest_payload):
-        return Selective(self.params["deliver"](len(self.params["log"]) + 1, ctx.sender, ctx.receivers))
+        return self.params["deliver"](len(self.params["log"]) + 1, ctx.sender, ctx.receivers)
 
 
 @st.composite

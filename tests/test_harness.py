@@ -18,11 +18,11 @@ from selbroadcast import (
     Scenario,
     TrafficMeter,
     run_scenario,
-    sweep,
     write_csv,
     write_trace,
 )
 from selbroadcast import dispute_bb, harness
+from selbroadcast.harness import grid_scenarios, pairs, run_pairs
 from selbroadcast.channel import ProtocolError, TraceEntry, Verdict
 from selbroadcast.cli import main
 
@@ -103,13 +103,15 @@ def test_sweep_grid_with_max_t_and_skipped_points():
         "algorithm": ["dispute_bb"],
         "strategy": ["honest"],
     }
-    records, errors = sweep(grid)
+    scenarios, errors = grid_scenarios(grid)
+    records = list(run_pairs(pairs(scenarios)))
     assert errors == []
     assert [(r.row["n"], r.row["t"]) for r in records] == [(4, 1), (5, 1), (7, 2)]
     # an invalid point (n=8 needs c > 3) is reported, not fatal
     grid["n"] = [4, 8]
     grid["c"] = [3]
-    records, errors = sweep(grid)
+    scenarios, errors = grid_scenarios(grid)
+    records = list(run_pairs(pairs(scenarios)))
     assert [r.row["n"] for r in records] == [4]
     assert len(errors) == 1 and "8" in errors[0]
 
@@ -122,8 +124,10 @@ def test_sweep_does_not_skip_a_run_that_raises(monkeypatch):
 
     monkeypatch.setattr(harness, "run_byzantine_broadcast", broken)
     grid = {"n": [4], "t": [1], "c": [3], "L": ["1D"], "strategy": ["honest"]}
+    scenarios, errors = grid_scenarios(grid)
+    assert len(scenarios) == 1 and errors == []
     with pytest.raises(ValueError, match="inside the run"):
-        sweep(grid)
+        list(run_pairs(pairs(scenarios)))
 
 
 def test_csv_and_trace_determinism(tmp_path):
