@@ -23,7 +23,7 @@ from .channel import (
     channel_deliver,
     check_bb_properties,
 )
-from .committee import CommitteeLayout, committee_layout, majority_vote, run_algorithm2
+from .committee import majority_vote, run_algorithm2
 from .dispute_bb import run_byzantine_broadcast
 from .eig import eig_broadcast
 from .gf import GF, DEFAULT_POLYNOMIALS
@@ -60,8 +60,6 @@ __all__ = [
     "make_strategy",
     "eig_broadcast",
     "run_byzantine_broadcast",
-    "CommitteeLayout",
-    "committee_layout",
     "majority_vote",
     "run_algorithm2",
     "detectable_cost_bits",

@@ -113,6 +113,12 @@ class SymbolCorruptor(Strategy):
 
     name = "symbol_corruptor"
 
+    def __init__(self, config, **params):
+        super().__init__(config, **params)
+        self.mode = params.get("mode", "subset")
+        if self.mode not in ("subset", "all"):
+            raise ValueError(f'symbol_corruptor mode must be "subset" or "all", not {self.mode!r}')
+
     def corrupt_set(self) -> frozenset[int]:
         return frozenset({self.config.n})
 
@@ -120,7 +126,7 @@ class SymbolCorruptor(Strategy):
         if ctx.tag != "alg1.symbol" or not honest_payload:
             return honest_payload
         wrong = _flip(honest_payload, len(honest_payload) - 1)
-        if self.params.get("mode", "subset") == "all":
+        if self.mode == "all":
             return wrong
         # Lowest-id peer: the source holds no symbol view, so sending the
         # wrong symbol there would go unnoticed.

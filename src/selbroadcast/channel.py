@@ -1,6 +1,10 @@
 """Synchronous selective-broadcast channel, traffic accounting and the
 Byzantine Broadcast correctness predicates.
 
+The rules both protocols share are each stated once, here: `SystemConfig`
+takes `int` parameters only, `check_input` an input of exactly L 0s and
+1s, and `dispute_pair` orders a pair of distinct ids for `DisputeGraph`.
+
 A transmission is a `str` or a `dict`.  A `str` is a broadcast: one
 message, received identically and with correct attribution by every other
 node; `""` is silence and costs nothing.  A `dict` maps each receiver to
@@ -59,6 +63,10 @@ class SystemConfig:
     D: int = 0  # derived as c * (n - 2t) when left at 0
 
     def __post_init__(self):
+        for name in ("n", "t", "c", "L", "seed", "D"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool or a float is refused too
+                raise TypeError(f"{name} must be an integer, not {value!r}")
         if self.c not in DEFAULT_POLYNOMIALS:
             raise ValueError(f"no pinned GF(2^c) polynomial for c={self.c}")
         if self.t < 0 or self.n < 3 * self.t + 1 or self.n < 2:
@@ -80,6 +88,12 @@ class SystemConfig:
     @property
     def peers(self) -> range:
         return range(2, self.n + 1)
+
+
+def check_input(x: str, L: int) -> None:
+    """Refuse any input that is not exactly L bits, each "0" or "1"."""
+    if not isinstance(x, str) or len(x) != L or x.strip("01"):  # what strip leaves is not a bit
+        raise ValueError(f"input must be exactly L={L} bits of 0 and 1")
 
 
 Transmission = str | dict  # a broadcast, or receiver -> payload
@@ -159,6 +173,13 @@ class TrafficMeter:
         return view
 
 
+def dispute_pair(i: int, j: int) -> tuple[int, int]:
+    """The unordered pair {i, j} as (min, max); a node cannot dispute itself."""
+    if i == j:
+        raise ValueError("a node cannot dispute itself")
+    return (i, j) if i < j else (j, i)
+
+
 class DisputeGraph:
     """Accumulated in-dispute pairs and the > t identification rule."""
 
@@ -167,22 +188,16 @@ class DisputeGraph:
         self.pairs: set[tuple[int, int]] = set()
         self._directly_identified: set[int] = set()
 
-    @staticmethod
-    def _key(i: int, j: int) -> tuple[int, int]:
-        if i == j:
-            raise ValueError("a node cannot dispute itself")
-        return (i, j) if i < j else (j, i)
-
     def add(self, i: int, j: int) -> bool:
         """Record a pair; returns True when the pair is new."""
-        key = self._key(i, j)
+        key = dispute_pair(i, j)
         if key in self.pairs:
             return False
         self.pairs.add(key)
         return True
 
     def in_dispute(self, i: int, j: int) -> bool:
-        return self._key(i, j) in self.pairs
+        return dispute_pair(i, j) in self.pairs
 
     def identify(self, nodes: Iterable[int]) -> None:
         """Directly mark nodes as faulty (used when a dispute-control pass

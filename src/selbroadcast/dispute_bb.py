@@ -46,6 +46,8 @@ from .channel import (
     ProtocolError,
     Simulation,
     SystemConfig,
+    check_input,
+    dispute_pair,
 )
 from .eig import canon, eig_broadcast, pack, unpack
 from .gf import GF
@@ -58,8 +60,6 @@ Block = tuple[int, ...]
 class GenerationRecord:
     """Per-generation ground truth kept for assertions and reporting."""
 
-    g: int
-    x_bits: str
     skipped: bool = False
     z: dict[int, Block] = field(default_factory=dict)
     detected: dict[int, bool] = field(default_factory=dict)
@@ -67,10 +67,6 @@ class GenerationRecord:
     dc_invoked: bool = False
     new_pairs: tuple[tuple[int, int], ...] = ()
     y_bits: dict[int, str] = field(default_factory=dict)
-
-
-def default_block(k: int) -> Block:
-    return (0,) * k
 
 
 def db_assemble_view(
@@ -89,14 +85,13 @@ def db_assemble_view(
     received, which is None when i is in dispute with the source.
     """
     n, c = code.n, code.field.c
-    pairs = disputes.pairs
     view: list[Optional[int]] = [None] * n
     if own is not None:
         view[0] = own[0]
     for j in range(2, n + 1):
         if j in excluded:
             continue
-        if ((i, j) if i < j else (j, i)) in pairs or (1, j) in pairs:
+        if disputes.in_dispute(1, j) or (j != i and disputes.in_dispute(i, j)):
             continue
         symbol = canon(received_symbols.get(j), c)
         if symbol:
@@ -113,7 +108,7 @@ def db_resolve(code: RSCode, view) -> tuple[Block, bool]:
     """Unique block consistent with the view, or default + detection flag."""
     data = code.consistency_check(view)
     if data is None:
-        return default_block(code.k), True
+        return (0,) * code.k, True
     return data, False
 
 
@@ -146,7 +141,7 @@ def derive_disputes(
     new: list[tuple[int, int]] = []
 
     def propose(a: int, b: int):
-        key = (a, b) if a < b else (b, a)
+        key = dispute_pair(a, b)
         if key not in new:
             new.append(key)
 
@@ -191,8 +186,7 @@ def _agreed(res: dict[int, str], fault_free, what: str) -> str:
 
 def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) -> BbOutcome:
     """Iterate the three-phase loop over all L/D generations."""
-    if len(x) != config.L:
-        raise ValueError(f"input must be exactly L={config.L} bits")
+    check_input(x, config.L)
     t, c, D = config.t, config.c, config.D
     code = RSCode(config.n, t, GF(c))
     disputes = DisputeGraph(t)
@@ -200,9 +194,9 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
     generations: list[GenerationRecord] = []
 
     with Simulation(config, strategy) as sim:
-        for g in range(1, config.L // D + 1):
-            x_bits = x[(g - 1) * D : g * D]
-            rec = GenerationRecord(g, x_bits)
+        for start in range(0, config.L, D):
+            x_bits = x[start : start + D]
+            rec = GenerationRecord()
             generations.append(rec)
             excluded = disputes.identified_faulty
 

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional
 
 from .adversaries import make_strategy, random_bits
 from .bounds import check_bounds
-from .channel import BbOutcome, SystemConfig, TraceEntry, check_bb_properties, generation_size
+from .channel import BbOutcome, SystemConfig, TraceEntry, check_bb_properties, check_input, generation_size
 from .committee import run_algorithm2
 from .dispute_bb import run_byzantine_broadcast
 
@@ -44,11 +44,14 @@ class Scenario:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        for name, value in (("repetitions", self.repetitions), ("seeds", self.base_seed)):
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an integer, not {value!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.input_bits is not None and len(self.input_bits) != self.L:
-            raise ValueError("scenario input must be exactly L bits")
         config = SystemConfig(n=self.n, t=self.t, c=self.c, L=self.L)  # validates the point
+        if self.input_bits is not None:
+            check_input(self.input_bits, self.L)
         if len(make_strategy(self.strategy, config, **self.strategy_params).corrupt_set()) > self.t:
             raise ValueError("strategy corrupts more than t nodes")
 

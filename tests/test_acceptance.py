@@ -16,7 +16,6 @@ from selbroadcast import (
     Scenario,
     SystemConfig,
     bit_cost_ratio,
-    committee_layout,
     detectable_cost_bits,
     make_strategy,
     run_algorithm2,
@@ -29,6 +28,7 @@ from selbroadcast import (
     write_trace,
 )
 from selbroadcast.adversaries import random_bits
+from selbroadcast.harness import scenario_input
 
 CORPUS_CONFIGS = ((4, 1, 3, 12), (7, 2, 3, 18))
 SEEDS_PER_SCENARIO = 100
@@ -91,15 +91,17 @@ def test_acceptance_3_detection_dichotomy(corpus):
             continue
         out = record.outcome
         c = out.config.c
+        D = out.config.D
+        x = scenario_input(record.scenario, record.row["seed"])
         source_ok = 1 not in out.faulty
-        for rec in out.generations:
+        for g, rec in enumerate(out.generations):
             if rec.skipped:
                 continue
             generations += 1
             ff = [i for i in rec.z if i not in out.faulty]
             some_detected = any(rec.detected[i] for i in ff)
             z_bits = {symbols_to_bits(rec.z[i], c) for i in ff}
-            agree = len(z_bits) == 1 and (not source_ok or z_bits == {rec.x_bits})
+            agree = len(z_bits) == 1 and (not source_ok or z_bits == {x[g * D : (g + 1) * D]})
             if not (some_detected or agree):
                 violations += 1
     _verdict(3, violations == 0, f"{generations} generations, {violations} violations")
@@ -182,7 +184,7 @@ def test_acceptance_7_committee_structure():
 
     # passive silence and > t messages across the catalog
     config = SystemConfig(n=10, t=1, c=4, L=32, seed=3)
-    passive = set(committee_layout(config).passive)
+    passive = range(3 * config.t + 2, config.n + 1)
     for name in sorted(STRATEGY_REGISTRY):
         out = run_algorithm2(
             random_bits(random.Random(3), 32), config, make_strategy(name, config)

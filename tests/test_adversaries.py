@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from selbroadcast import (
     STRATEGY_REGISTRY,
+    Scenario,
     SystemConfig,
     make_strategy,
     run_byzantine_broadcast,
@@ -71,6 +72,15 @@ def test_strategy_seed_param_changes_behaviour(config):
 def test_unknown_strategy_rejected(config):
     with pytest.raises(ValueError):
         make_strategy("omniscient", config)
+
+
+def test_symbol_corruptor_refuses_an_unknown_mode(config):
+    for mode in ("subset", "all"):
+        assert make_strategy("symbol_corruptor", config, mode=mode).mode == mode
+    with pytest.raises(ValueError, match="mode must be"):
+        make_strategy("symbol_corruptor", config, mode="al")
+    with pytest.raises(ValueError, match="mode must be"):  # before anything runs
+        Scenario(n=7, t=2, c=3, L=18, strategy="symbol_corruptor", strategy_params={"mode": "al"})
 
 
 @settings(max_examples=300, deadline=None)

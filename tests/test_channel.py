@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from selbroadcast import adversaries
+from selbroadcast import adversaries, run_algorithm2, run_byzantine_broadcast
 from selbroadcast.adversaries import Strategy, make_strategy
 from selbroadcast.channel import (
     BbOutcome,
@@ -15,6 +15,8 @@ from selbroadcast.channel import (
     TrafficMeter,
     channel_deliver,
     check_bb_properties,
+    check_input,
+    dispute_pair,
     min_symbol_bits,
 )
 
@@ -144,8 +146,39 @@ def test_unicast_metering():
     assert meter.as_unicast(4, {"DB"}).honest_messages == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 4.0), ("t", True), ("c", "3"), ("L", 12.0), ("seed", "5"), ("D", 6.0),
+])
+def test_config_fields_must_be_integers(field, value):
+    params = {"n": 4, "t": 1, "c": 3, "L": 12, field: value}
+    with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+        SystemConfig(**params)
+
+
+@pytest.mark.parametrize("x", ["0101", "0" * 5, "012", "abc", "01 ", None, 101])
+def test_check_input_wants_l_bits_of_0_and_1(x):
+    check_input("010", 3)
+    with pytest.raises(ValueError, match="L=3 bits of 0 and 1"):
+        check_input(x, 3)
+
+
+@pytest.mark.parametrize("run", [run_byzantine_broadcast, run_algorithm2])
+@pytest.mark.parametrize("x", ["abcdefghijkl", "012012012012", "0" * 11])
+def test_runs_refuse_a_bad_input_before_any_slot(monkeypatch, run, x):
+    def no_round(*args, **kwargs):
+        raise AssertionError("a slot ran")
+
+    monkeypatch.setattr(Simulation, "round", no_round)
+    config = SystemConfig(n=4, t=1, c=3, L=12)
+    with pytest.raises(ValueError, match="L=12 bits of 0 and 1"):
+        run(x, config, make_strategy("honest", config))
+
+
 def test_dispute_graph_identification():
     g = DisputeGraph(t=1)
+    assert dispute_pair(4, 2) == (2, 4)
+    with pytest.raises(ValueError):
+        dispute_pair(3, 3)
     assert g.add(2, 4)
     assert not g.add(4, 2)  # unordered
     assert g.in_dispute(2, 4) and g.in_dispute(4, 2)

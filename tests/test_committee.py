@@ -1,16 +1,15 @@
-"""Committee-based broadcast: layout, majority vote, n-independent honest
-traffic, passive silence, and the point-to-point view of core traffic."""
+"""Committee-based broadcast: who sends in each phase, majority vote,
+n-independent honest traffic, passive silence, and the point-to-point view
+of core traffic."""
 
 import random
 
 import pytest
 
 from selbroadcast import (
-    CommitteeLayout,
     ProtocolError,
     SystemConfig,
     check_bb_properties,
-    committee_layout,
     majority_vote,
     make_strategy,
     run_algorithm2,
@@ -25,14 +24,13 @@ def run(n, t, c, L, strategy_name, seed=0, **params):
     return x, run_algorithm2(x, config, strategy)
 
 
-def test_layout():
-    config = SystemConfig(n=10, t=1, c=4, L=32)
-    layout = committee_layout(config)
-    assert layout == CommitteeLayout(
-        active=(1, 2, 3, 4),
-        announcers=(1, 2, 3),
-        passive=(5, 6, 7, 8, 9, 10),
-    )
+def test_senders_per_phase():
+    # The 3t+1 lowest ids are active and the 2t+1 lowest announce; the source is id 1.
+    _, out = run(10, 1, 4, 32, "honest")
+    senders = {}
+    for entry in out.trace:
+        senders.setdefault(entry.phase, set()).add(entry.sender)
+    assert senders == {"SRC": {1}, "CORE": {1, 2, 3, 4}, "ANN": {1, 2, 3}}
 
 
 def test_majority_vote_examples():
@@ -70,7 +68,7 @@ def test_honest_traffic_independent_of_n(strategy_name):
 def test_passive_nodes_never_transmit():
     for strategy_name in ("honest", "equivocating_source"):
         _, out = run(10, 1, 4, 32, strategy_name, seed=3)
-        passive = set(committee_layout(out.config).passive)
+        passive = range(3 * out.config.t + 2, out.config.n + 1)
         assert all(entry.sender not in passive for entry in out.trace)
 
 

@@ -194,6 +194,8 @@ def test_cli_sweep(tmp_path, capsys):
     pytest.param({"n": [4], "t": [1], "c": [3]}, "no 'L' field", id="no_L"),
     pytest.param({"n": [4], "t": [0], "c": [3], "L": ["1D"], "strategy": ["equivocating_source"]},
                  "strategy corrupts more than t nodes", id="corrupts_more_than_t"),
+    pytest.param({"n": [4], "t": [1], "c": [3], "L": ["1D"], "seeds": ["5"]},
+                 "seeds must be an integer, not '5'", id="seeds_not_an_integer"),
 ])
 def test_sweep_with_no_valid_point_skips_it_and_exits_1(tmp_path, capsys, grid, reason):
     path = tmp_path / "grid.json"
@@ -420,20 +422,36 @@ _SCENARIO = {"config": {"n": 4, "t": 1, "c": 3, "L": 12}, "strategy": "honest"}
     pytest.param("run", json.dumps({"config": {"n": 4, "t": 0, "c": 3, "L": 12},
                                     "strategy": "claim_liar"}),
                  "strategy corrupts more than t nodes", id="run_corrupts_more_than_t"),
+    pytest.param("run", json.dumps({**_SCENARIO, "seeds": "5"}), "seeds must be an integer",
+                 id="run_seeds_not_an_integer"),
+    pytest.param("run", json.dumps({**_SCENARIO, "repetitions": 2.5}), "repetitions must be an integer",
+                 id="run_repetitions_not_an_integer"),
+    pytest.param("run", json.dumps({**_SCENARIO, "config": {"n": 4.0, "t": 1, "c": 3, "L": 12}}),
+                 "n must be an integer", id="run_n_not_an_integer"),
+    pytest.param("run", json.dumps({**_SCENARIO, "algorithm": "algo2", "input": "abcdefghijkl"}),
+                 "input must be exactly L=12 bits of 0 and 1", id="run_algo2_input_not_bits"),
+    pytest.param("run", json.dumps({**_SCENARIO, "input": "012012012012"}),
+                 "input must be exactly L=12 bits of 0 and 1", id="run_dispute_bb_input_not_bits"),
+    pytest.param("run", json.dumps({**_SCENARIO, "strategy": {"name": "symbol_corruptor",
+                                                              "params": {"mode": "al"}}}),
+                 "mode must be", id="run_unknown_symbol_corruptor_mode"),
     pytest.param("sweep", None, "No such file or directory", id="sweep_missing_file"),
     pytest.param("sweep", "{not json", "not JSON", id="sweep_not_json"),
     pytest.param("sweep", "[4, 7]", "not a JSON object", id="sweep_not_an_object"),
 ])
 def test_cli_refuses_a_file_that_is_not_a_scenario(tmp_path, capsys, command, text, reason):
-    # One `path: reason` line on stderr and exit 1, never a traceback.
+    # One `path: reason` line on stderr and exit 1, never a traceback, and
+    # no trace (a FAIL line's would go to --trace): nothing ran.
     path = tmp_path / "input.json"
     if text is not None:
         path.write_text(text)
-    assert main([command, str(path)]) == 1
+    assert main([command, str(path), "--trace", str(tmp_path / "traces")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [captured.err.strip()]
     assert captured.err.startswith(f"{path}: ") and reason in captured.err, captured.err
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.rglob("*.jsonl"))
 
 
 # sha256 over the acceptance corpus (`_corpus`): the CSV of every record, then
