@@ -9,6 +9,8 @@ adversary is rushing), and the strategy returns the actual transmission:
 a `str` to broadcast (`""` is silence) or a `dict` receiver -> payload
 for a selective send, as `channel` defines them.  The default is to
 behave honestly, so each strategy only overrides the slots it attacks.
+A strategy's constructor names the parameters it reads, so any other is
+a TypeError; only `randomized_byzantine` draws, so only it takes a seed.
 
 Slot tags used by the protocols:
   "source_value"  the source's value slot (the opening broadcast of both
@@ -51,13 +53,8 @@ class Strategy:
 
     name = "honest"
 
-    def __init__(self, config: SystemConfig, **params):
+    def __init__(self, config: SystemConfig):
         self.config = config
-        self.params = params
-        # Deterministic per (config seed, strategy seed); str hash is
-        # process-randomized, so mix in a stable digest of the name.
-        mix = (config.seed << 16) ^ params.get("seed", 0) ^ zlib.crc32(self.name.encode())
-        self.rng = _random.Random(mix)
 
     def corrupt_set(self) -> frozenset[int]:
         return frozenset()
@@ -88,8 +85,8 @@ class EquivocatingSource(Strategy):
 
     name = "equivocating_source"
 
-    def __init__(self, config, **params):
-        super().__init__(config, **params)
+    def __init__(self, config):
+        super().__init__(config)
         self._slot = 0
 
     def corrupt_set(self) -> frozenset[int]:
@@ -113,11 +110,11 @@ class SymbolCorruptor(Strategy):
 
     name = "symbol_corruptor"
 
-    def __init__(self, config, **params):
-        super().__init__(config, **params)
-        self.mode = params.get("mode", "subset")
-        if self.mode not in ("subset", "all"):
-            raise ValueError(f'symbol_corruptor mode must be "subset" or "all", not {self.mode!r}')
+    def __init__(self, config, *, mode="subset"):
+        if mode not in ("subset", "all"):
+            raise ValueError(f'symbol_corruptor mode must be "subset" or "all", not {mode!r}')
+        super().__init__(config)
+        self.mode = mode
 
     def corrupt_set(self) -> frozenset[int]:
         return frozenset({self.config.n})
@@ -176,8 +173,11 @@ class RandomizedByzantine(Strategy):
 
     name = "randomized_byzantine"
 
-    def __init__(self, config, **params):
-        super().__init__(config, **params)
+    def __init__(self, config, *, seed=0):
+        super().__init__(config)
+        # Deterministic per (config seed, strategy seed); str hash is
+        # process-randomized, so mix in a stable digest of the name.
+        self.rng = _random.Random((config.seed << 16) ^ seed ^ zlib.crc32(self.name.encode()))
         self._corrupt = frozenset(self.rng.sample(range(1, config.n + 1), config.t))
 
     def corrupt_set(self) -> frozenset[int]:

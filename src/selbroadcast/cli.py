@@ -30,7 +30,7 @@ from .bounds import (
     static_db_lower_bound_bits,
     total_bb_cost_bits,
 )
-from .channel import TraceEntry, TrafficMeter, generation_size, min_symbol_bits
+from .channel import SystemConfig, TraceEntry, TrafficMeter, generation_size, min_symbol_bits
 from .harness import (
     MetricsRecord,
     Scenario,
@@ -145,16 +145,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    """Run a grid file; a file that is not a JSON object is reported as
-    one `path: reason` line, exit 1, and each invalid point as a SKIP
-    line.  A grid with no valid point exits 1 after its SKIP lines."""
+    """Run a grid file; a file that is not a JSON object, or that holds a
+    key the grid does not read, is reported as one `path: reason` line,
+    exit 1, and each invalid point as a SKIP line.  A grid with no valid
+    point exits 1 after its SKIP lines."""
     try:
         grid = _read_object(args.grid)
+        if args.seed is not None:
+            grid["seeds"] = args.seed
+        scenarios, errors = grid_scenarios(grid)
     except ValueError as exc:
         return _refuse(f"{args.grid}: {exc}")
-    if args.seed is not None:
-        grid["seeds"] = args.seed
-    scenarios, errors = grid_scenarios(grid)
     for err in errors:
         print(f"SKIP {err}")
     if not scenarios:
@@ -172,6 +173,7 @@ def _cmd_verify_bounds(args) -> int:
         static = static_db_lower_bound_bits(n, t, L)
         floor = message_lower_bound(t)
         committee = honest_messages(n, t, L, "algo2")
+        SystemConfig(n=n, t=t, c=c, L=D)  # a point some run takes: c <= 8, so n <= 255
     except ValueError as exc:
         print(f"SKIP n={n} t={t} L={L}: {exc}")
         return 1

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional
 
 from .adversaries import make_strategy, random_bits
 from .bounds import check_bounds
-from .channel import BbOutcome, SystemConfig, TraceEntry, check_bb_properties, check_input, generation_size
+from .channel import BbOutcome, Simulation, SystemConfig, TraceEntry, check_bb_properties, check_input, generation_size
 from .committee import run_algorithm2
 from .dispute_bb import run_byzantine_broadcast
 
@@ -52,17 +52,26 @@ class Scenario:
         config = SystemConfig(n=self.n, t=self.t, c=self.c, L=self.L)  # validates the point
         if self.input_bits is not None:
             check_input(self.input_bits, self.L)
-        if len(make_strategy(self.strategy, config, **self.strategy_params).corrupt_set()) > self.t:
-            raise ValueError("strategy corrupts more than t nodes")
+        Simulation(config, make_strategy(self.strategy, config, **self.strategy_params))  # the t budget
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
-        cfg = raw.get("config", raw)
+        """The scenario of a JSON object; a key it does not read is refused."""
+        read = {"algorithm", "strategy", "repetitions", "seeds", "input"}
         strat = raw.get("strategy", "honest")
         if isinstance(strat, dict):
+            _refuse_unknown(strat, {"name", "params"}, "strategy.")
             name, params = strat.get("name", "honest"), strat.get("params", {})
         else:
             name, params = strat, raw.get("strategy_params", {})
+            read.add("strategy_params")
+        cfg = raw.get("config", raw)
+        if cfg is raw:
+            read |= {"n", "t", "c", "L"}
+        else:
+            _refuse_unknown(cfg, {"n", "t", "c", "L"}, "config.")
+            read.add("config")
+        _refuse_unknown(raw, read)
         return cls(
             n=cfg["n"],
             t=cfg["t"],
@@ -72,9 +81,16 @@ class Scenario:
             strategy=name,
             strategy_params=dict(params),
             repetitions=raw.get("repetitions", 1),
-            base_seed=raw.get("seeds", raw.get("seed", 0)),
+            base_seed=raw.get("seeds", 0),
             input_bits=raw.get("input"),
         )
+
+
+def _refuse_unknown(raw: dict, read: set, prefix: str = "") -> None:
+    """Raise a ValueError naming each key of `raw` that is not in `read`."""
+    unknown = [f"unknown field {prefix + str(key)!r}" for key in raw if key not in read]
+    if unknown:
+        raise ValueError(", ".join(unknown))
 
 
 def _parse_length(value, cfg) -> int:
@@ -182,9 +198,12 @@ def run_scenario(scenario: Scenario, jobs: int = 1) -> list[MetricsRecord]:
 
 def grid_scenarios(grid: dict) -> tuple[list[Scenario], list[str]]:
     """The valid Scenarios of the grid's cartesian product, and one error
-    line per point that is not one."""
+    line per point that is not one.  A key the grid does not read is a
+    ValueError naming it."""
+    keys = ("n", "t", "c", "L", "algorithm", "strategy", "repetitions", "seeds")
+    _refuse_unknown(grid, {*keys, "strategy_params"})
     axes = {}
-    for key in ("n", "t", "c", "L", "algorithm", "strategy", "repetitions", "seeds"):
+    for key in keys:
         if key in grid:
             v = grid[key]
             axes[key] = v if isinstance(v, list) else [v]
@@ -193,7 +212,8 @@ def grid_scenarios(grid: dict) -> tuple[list[Scenario], list[str]]:
     errors: list[str] = []
     for combo in itertools.product(*(axes[k] for k in names)):
         point = dict(zip(names, combo))
-        point.setdefault("strategy_params", grid.get("strategy_params", {}))
+        if "strategy_params" in grid:
+            point["strategy_params"] = grid["strategy_params"]
         try:
             if point.get("t") == "max":
                 point["t"] = (point["n"] - 1) // 3

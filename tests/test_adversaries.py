@@ -83,6 +83,21 @@ def test_symbol_corruptor_refuses_an_unknown_mode(config):
         Scenario(n=7, t=2, c=3, L=18, strategy="symbol_corruptor", strategy_params={"mode": "al"})
 
 
+@pytest.mark.parametrize("name", list(STRATEGY_REGISTRY))
+def test_a_strategy_takes_only_the_parameters_it_reads(config, name):
+    # A misspelled parameter is refused, by a run and by a scenario alike;
+    # only randomized_byzantine draws, so only it takes a seed.
+    with pytest.raises(TypeError, match="'mdoe'"):
+        make_strategy(name, config, mdoe="all")
+    with pytest.raises(TypeError, match="'mdoe'"):
+        Scenario(n=7, t=2, c=3, L=18, strategy=name, strategy_params={"mdoe": "all"})
+    if name == "randomized_byzantine":
+        make_strategy(name, config, seed=1)
+    else:
+        with pytest.raises(TypeError, match="'seed'"):
+            make_strategy(name, config, seed=1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**64), k=st.integers(0, 2000))
 @example(seed=0, k=0)

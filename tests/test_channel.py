@@ -96,11 +96,15 @@ def test_fault_free_selective_is_a_model_violation():
 class _Sends(Strategy):
     """Node 1 is faulty and transmits `tx` in every slot."""
 
+    def __init__(self, config, *, tx):
+        super().__init__(config)
+        self.tx = tx
+
     def corrupt_set(self):
         return frozenset({1})
 
     def act(self, ctx, honest_payload):
-        return self.params["tx"]
+        return self.tx
 
 
 def _faulty_round(tx):
@@ -301,3 +305,21 @@ def test_all_honest_round_never_calls_act():
         TraceEntry(1, 1, 1, "broadcast", 1, "DD", True, 1),
         TraceEntry(1, 3, 3, "broadcast", 1, "DD", True, 1),
     ]
+
+
+class _OneTooMany(Strategy):
+    """Corrupts t + 1 nodes, one more than the budget."""
+
+    def corrupt_set(self):
+        return frozenset(range(1, self.config.t + 2))
+
+
+@pytest.mark.parametrize("run", [run_byzantine_broadcast, run_algorithm2])
+def test_runners_refuse_more_than_t_corrupt_nodes_before_any_slot(monkeypatch, run):
+    def no_slot(*args):
+        raise AssertionError("a slot ran")
+
+    monkeypatch.setattr(Simulation, "round", no_slot)
+    config = SystemConfig(n=4, t=1, c=3, L=12)
+    with pytest.raises(ValueError, match="strategy corrupts more than t nodes"):
+        run("0" * 12, config, _OneTooMany(config))

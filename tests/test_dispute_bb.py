@@ -91,12 +91,16 @@ class _ShortPayloads(Strategy):
 
     name = "short_payloads"
 
+    def __init__(self, config, *, node, cut):
+        super().__init__(config)
+        self.node, self.cut = node, cut
+
     def corrupt_set(self):
-        return frozenset({self.params["node"]})
+        return frozenset({self.node})
 
     def act(self, ctx, honest_payload):
         if ctx.tag in ("source_value", "alg1.symbol"):
-            return honest_payload[: -self.params["cut"]]
+            return honest_payload[: -self.cut]
         return honest_payload
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,11 @@ from selbroadcast.eig import _vote, eig_broadcast, pack
 def sim_for(n, t, c, L, seed=0, strategy=None):
     cfg = SystemConfig(n=n, t=t, c=c, L=L, seed=seed)
     return Simulation(cfg, strategy or make_strategy("honest", cfg))
+
+
+def _rng(strategy, seed=0):
+    """A drawing strategy's Random, mixed as `randomized_byzantine` mixes its own."""
+    return random.Random((strategy.config.seed << 16) ^ seed ^ zlib.crc32(strategy.name.encode()))
 
 
 class SplitSource(Strategy):
@@ -38,6 +44,10 @@ class CollusionPair(Strategy):
     """Faulty source plus a faulty relayer sending garbage relays."""
 
     name = "collusion_pair"
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.rng = _rng(self)
 
     def corrupt_set(self):
         return frozenset({1, self.config.n})
@@ -186,15 +196,20 @@ def test_vote_equals_the_full_bottom_up_fold(case):
 
 
 class RelayFuzzer(Strategy):
-    """Corrupts `params["corrupt"]`; in every slot each receiver gets, at
+    """Corrupts `corrupt`; in every slot each receiver gets, at
     random, the honest payload, silence, a payload of the wrong length,
     the honest payload with one bit flipped (when it has a bit), or fresh
     bits of the honest length (an equivocation)."""
 
     name = "relay_fuzzer"
 
+    def __init__(self, config, *, corrupt, seed):
+        super().__init__(config)
+        self.corrupt = corrupt
+        self.rng = _rng(self, seed)
+
     def corrupt_set(self):
-        return self.params["corrupt"]
+        return self.corrupt
 
     def act(self, ctx, honest_payload):
         rnd, size = self.rng, len(honest_payload)
@@ -287,11 +302,15 @@ class Replay(Strategy):
 
     name = "replay"
 
+    def __init__(self, config, *, corrupt, deliver, log):
+        super().__init__(config)
+        self.corrupt, self.deliver, self.log = corrupt, deliver, log
+
     def corrupt_set(self):
-        return self.params["corrupt"]
+        return self.corrupt
 
     def act(self, ctx, honest_payload):
-        return self.params["deliver"](len(self.params["log"]) + 1, ctx.sender, ctx.receivers)
+        return self.deliver(len(self.log) + 1, ctx.sender, ctx.receivers)
 
 
 @st.composite

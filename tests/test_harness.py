@@ -32,14 +32,14 @@ METER_COLUMNS = ("honest_messages", "honest_bits", "adversary_messages", "advers
 def test_scenario_from_nested_dict():
     raw = {
         "config": {"n": 4, "t": 1, "c": 3, "L": "2D"},
-        "strategy": {"name": "equivocating_source", "params": {"seed": 9}},
+        "strategy": {"name": "randomized_byzantine", "params": {"seed": 9}},
         "algorithm": "dispute_bb",
         "repetitions": 3,
         "seeds": 100,
     }
     s = Scenario.from_dict(raw)
     assert (s.n, s.t, s.c, s.L) == (4, 1, 3, 12)
-    assert s.strategy == "equivocating_source"
+    assert s.strategy == "randomized_byzantine"
     assert s.strategy_params == {"seed": 9}
     assert s.repetitions == 3 and s.base_seed == 100
 
@@ -114,6 +114,20 @@ def test_sweep_grid_with_max_t_and_skipped_points():
     records = list(run_pairs(pairs(scenarios)))
     assert [r.row["n"] for r in records] == [4]
     assert len(errors) == 1 and "8" in errors[0]
+
+
+def test_grid_strategy_params_reach_only_the_strategies_that_take_them():
+    # honest takes no mode: its point is a SKIP line naming the key.
+    # symbol_corruptor runs mode "all": its node 4 broadcasts its wrong symbol.
+    grid = {"n": [4], "t": [1], "c": [3], "L": ["1D"], "strategy": ["honest", "symbol_corruptor"],
+            "strategy_params": {"mode": "all"}}
+    scenarios, errors = grid_scenarios(grid)
+    (skip,) = errors
+    assert "'strategy': 'honest'" in skip and "unexpected keyword argument 'mode'" in skip
+    (record,) = run_pairs(pairs(scenarios))
+    assert record.scenario.strategy_params == {"mode": "all"} and record.passed
+    kinds = {e.kind for e in record.outcome.trace if not e.honest and e.phase == "DB"}
+    assert kinds == {"broadcast"}
 
 
 def test_sweep_does_not_skip_a_run_that_raises(monkeypatch):
@@ -276,6 +290,14 @@ def test_cli_verify_bounds_skips_an_invalid_point(capsys):
     assert capsys.readouterr().out.splitlines() == ["SKIP n=4 t=2 L=12: need n >= 3t + 1"]
 
 
+def test_cli_verify_bounds_skips_a_point_no_run_takes(capsys):
+    # n = 300 needs c = 9, and no GF(2^9) polynomial is pinned (c <= 8 caps n at 255).
+    assert main(["verify-bounds", "300", "1", "2682"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "SKIP n=300 t=1 L=2682: no pinned GF(2^c) polynomial for c=9"
+    ]
+
+
 def test_cli_replay(tmp_path, capsys):
     scenario_path = _write_scenario(tmp_path, repetitions=1)
     trace_dir = tmp_path / "traces"
@@ -435,9 +457,24 @@ _SCENARIO = {"config": {"n": 4, "t": 1, "c": 3, "L": 12}, "strategy": "honest"}
     pytest.param("run", json.dumps({**_SCENARIO, "strategy": {"name": "symbol_corruptor",
                                                               "params": {"mode": "al"}}}),
                  "mode must be", id="run_unknown_symbol_corruptor_mode"),
+    pytest.param("run", json.dumps({**_SCENARIO, "strategy": {"name": "symbol_corruptor",
+                                                              "params": {"mdoe": "all"}}}),
+                 "unexpected keyword argument 'mdoe'", id="run_misspelled_strategy_parameter"),
+    pytest.param("run", json.dumps({**_SCENARIO, "strategy": {"name": "equivocating_source",
+                                                              "params": {"seed": 9}}}),
+                 "unexpected keyword argument 'seed'", id="run_seed_on_a_strategy_that_never_draws"),
+    pytest.param("run", json.dumps({**_SCENARIO, "seed": 9}), "unknown field 'seed'",
+                 id="run_seed_is_not_seeds"),
+    pytest.param("run", json.dumps({**_SCENARIO, "config": {"n": 4, "t": 1, "c": 3, "L": 12, "D": 6}}),
+                 "unknown field 'config.D'", id="run_unknown_config_key"),
+    pytest.param("run", json.dumps({**_SCENARIO, "strategy": {"name": "honest", "prams": {}}}),
+                 "unknown field 'strategy.prams'", id="run_unknown_strategy_key"),
     pytest.param("sweep", None, "No such file or directory", id="sweep_missing_file"),
     pytest.param("sweep", "{not json", "not JSON", id="sweep_not_json"),
     pytest.param("sweep", "[4, 7]", "not a JSON object", id="sweep_not_an_object"),
+    pytest.param("sweep", json.dumps({"n": [4], "t": [1], "c": [3], "L": ["1D"],
+                                      "strategies": ["honest", "crash_silent"]}),
+                 "unknown field 'strategies'", id="sweep_unknown_key"),
 ])
 def test_cli_refuses_a_file_that_is_not_a_scenario(tmp_path, capsys, command, text, reason):
     # One `path: reason` line on stderr and exit 1, never a traceback, and
