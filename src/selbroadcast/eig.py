@@ -38,11 +38,18 @@ function of its view alone, so it is built once per distinct view and
 shared by the receivers that hold it: once per round when every relayer
 sends one payload to all.  Each distinct payload is parsed once per
 round into its rows per instance, a relayer's own intent not at all.
-The last level is voted where it is built, one view at a time, and the
-view's receivers take that vote; a vote stops at the first depth whose
-entries all agree, since every strict majority above it returns that
-entry.  In an honest run that is one vote per instance, and it stops at
-once.
+
+The last level is voted where it is built, first once per instance on a
+base level shared by every view: a relayer whose payload differs between
+views (one that equivocated per receiver) gives VARY, a sentinel, at
+each of its values there, and its payloads are not parsed for it.  A
+strict majority holds whatever the VARY entries turn out to be; a block
+with none that holds VARY votes VARY.  A root other than VARY is every
+participant's output.  Otherwise the instance falls back to one build
+and vote per view, whose receivers take that vote.  A vote stops at the
+first depth whose entries all agree, since every strict majority above
+it returns that entry.  With one view the base is that view, so an
+honest run votes once per instance, and the vote stops at once.
 
 Payload rules, stated once for every module: `canon` (exact length only)
 and the flagged-list codec `pack`/`unpack` (any other length, silence too,
@@ -84,14 +91,19 @@ def unpack(payload: str, count: int, width: int) -> list[Optional[str]]:
     return [payload[p + 1 : p + step] if payload[p] == "1" else None for p in starts]
 
 
-def _majority(values: list[str], default: str) -> str:
-    """The strict-majority value of `values`, else `default`.  Candidates
-    are tried in list order, so the work does not depend on the string
-    hash seed."""
+# A base-level entry that differs between receivers' views.
+VARY = object()
+
+
+def _majority(values: list, default: str):
+    """The strict-majority value of `values`, else `default`, or VARY
+    when VARY is among them: a completion of the VARY entries could then
+    give a majority.  Candidates are tried in list order, so the work
+    does not depend on the string hash seed."""
     for value in values:
         if 2 * values.count(value) > len(values):
             return value
-    return default
+    return VARY if VARY in values else default
 
 
 def _select(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -128,9 +140,22 @@ def _shape(m: int, faults: int, s: int) -> tuple:
     return tuple(rounds)
 
 
-def _vote(level: tuple, m: int, faults: int, width: int) -> str:
+def _rows(payload, instances: int, own: Optional[int], count: int, width: int) -> list:
+    """A relayer's payload as its rows per instance: `count` values for
+    each of the `instances` but `own` (the one it sources, None there).  A
+    wrong total length reads as absent throughout, VARY as VARY."""
+    relays = (instances - (own is not None)) * count
+    relayed = [VARY] * relays if payload is VARY else unpack(payload, relays, width)
+    rows = [relayed[a : a + count] for a in range(0, relays, count)]
+    if own is not None:
+        rows.insert(own, None)
+    return rows
+
+
+def _vote(level: tuple, m: int, faults: int, width: int):
     """One node's output: its last level voted bottom-up by strict
-    majority, absent values as the all-zeros default."""
+    majority, absent values as the all-zeros default.  VARY, being
+    truthy, stays VARY, and so may the result."""
     default = "0" * width
     values = [v or default for v in level]
     # Children blocks grow by one per level toward the root.
@@ -190,27 +215,30 @@ def eig_broadcast(
         views: dict[tuple[str, ...], list[int]] = {}  # receivers with equal views share levels
         for j in participants:
             views.setdefault(tuple(map(inbox[j].get, senders, silent)), []).append(j)
+        todo, base = views.items(), None
+        if r == faults:  # the base view first: VARY where a relayer's payload differs between views
+            base = tuple(p[0] if p.count(p[0]) == len(p) else VARY for p in zip(*views))
+            todo = [(base, participants), *todo]
         for k, (_, gather) in enumerate(steps):
             level = held[k]
-            for view, receivers in views.items():
+            for view, receivers in todo:
                 flat = []
                 for x, payload in enumerate(view):
                     rows = parsed[x].get(payload)
-                    if rows is None:  # not parsed yet; a wrong total length is absent throughout
+                    if rows is None:  # not parsed yet
                         own_k = own.get(relayers[x])
-                        relays = len(sources) - (own_k is not None)  # instances x relays
-                        relayed = unpack(payload, relays * count, width)
-                        rows = [relayed[a : a + count] for a in range(0, len(relayed), count)]
-                        if own_k is not None:
-                            rows.insert(own_k, None)
-                        parsed[x][payload] = rows
+                        rows = parsed[x][payload] = _rows(payload, len(sources), own_k, count, width)
                     if rows[k]:
                         flat.extend(rows[k])
                 built = gather(flat)
                 if r == faults:  # voted where built; the receivers hold their output
                     built = _vote(built, m, faults, width)
+                    if built is VARY:  # the base is undecided: each view votes its own
+                        continue
                 for j in receivers:
                     level[j] = built
+                if view is base:  # the base decided every participant
+                    break
         count *= m - 1 - r
     if not faults:  # the source's round is the last: its one-entry levels are voted here
         held = [{j: _vote(v, m, 0, width) for j, v in level.items()} for level in held]

@@ -61,11 +61,14 @@ class Scenario:
         strat = raw.get("strategy", "honest")
         if isinstance(strat, dict):
             _refuse_unknown(strat, {"name", "params"}, "strategy.")
-            name, params = strat.get("name", "honest"), strat.get("params", {})
+            name, params = strat.get("name", "honest"), _object(strat.get("params", {}), "strategy.params")
         else:
-            name, params = strat, raw.get("strategy_params", {})
+            name, params = strat, _object(raw.get("strategy_params", {}), "strategy_params")
             read.add("strategy_params")
-        cfg = raw.get("config", raw)
+        if not isinstance(name, str):
+            where = "strategy.name" if isinstance(strat, dict) else "strategy"
+            raise TypeError(f"{where} must be a strategy name, not {name!r}")
+        cfg = _object(raw.get("config", raw), "config")
         if cfg is raw:
             read |= {"n", "t", "c", "L"}
         else:
@@ -84,6 +87,13 @@ class Scenario:
             base_seed=raw.get("seeds", 0),
             input_bits=raw.get("input"),
         )
+
+
+def _object(value, where: str) -> dict:
+    """`value` if it is a JSON object, else a TypeError naming the field at `where`."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{where} must be an object, not {value!r}")
+    return value
 
 
 def _refuse_unknown(raw: dict, read: set, prefix: str = "") -> None:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import zlib
@@ -11,7 +12,9 @@ from selbroadcast.adversaries import Strategy, make_strategy, random_bits
 from selbroadcast.channel import Simulation, SystemConfig, TrafficMeter, check_bb_properties
 from selbroadcast.committee import run_algorithm2
 from selbroadcast.dispute_bb import run_byzantine_broadcast
-from selbroadcast.eig import _vote, eig_broadcast, pack
+from selbroadcast import eig
+from selbroadcast.eig import VARY, _vote, eig_broadcast, pack
+from selbroadcast.harness import Scenario, run_scenario
 
 
 def sim_for(n, t, c, L, seed=0, strategy=None):
@@ -193,6 +196,71 @@ def _full_fold(level, m, faults, width):
 def test_vote_equals_the_full_bottom_up_fold(case):
     m, faults, width, level = case
     assert _vote(level, m, faults, width) == _full_fold(level, m, faults, width)
+
+
+@given(last_levels(), st.data())
+def test_base_vote_is_every_completion_vote_when_decided(case, data):
+    # VARY marks the values a relayer sent differently to different
+    # receivers.  A base vote other than VARY must be the vote of the
+    # level whatever those values are; with no VARY it is the plain vote.
+    m, faults, width, level = case
+    marked = data.draw(st.sets(st.integers(0, len(level) - 1)))
+    base = _vote(tuple(VARY if k in marked else v for k, v in enumerate(level)), m, faults, width)
+    if not marked:
+        assert base == _full_fold(level, m, faults, width)
+    if base is VARY:
+        return
+    symbols = st.sampled_from([None, *("".join(bits) for bits in itertools.product("01", repeat=width))])
+    for _ in range(3):
+        completed = tuple(data.draw(symbols) if k in marked else v for k, v in enumerate(level))
+        assert base == _full_fold(completed, m, faults, width)
+
+
+class Tampered(Simulation):
+    """A Simulation that then overwrites inbox entries: `edits` maps a
+    round to {(receiver, sender): payload}."""
+
+    def __init__(self, config, strategy, edits):
+        super().__init__(config, strategy)
+        self.edits = edits
+
+    def round(self, intents, *args):
+        inboxes = super().round(intents, *args)
+        for (receiver, sender), payload in self.edits.get(self.round_no, {}).items():
+            inboxes[receiver][sender] = payload
+        return inboxes
+
+
+def test_undecided_base_falls_back_to_a_vote_per_view():
+    # At (4,1) node j's last level of source 1 is the relays of nodes 2,
+    # 3 and 4.  Node 2 got 0 from the source and node 3 got 1, so two
+    # shared entries disagree; node 4 relays 0 to nodes 1 and 2 and 1 to
+    # node 3, so its entry varies.  The base vote is VARY, and each view
+    # votes its own, as the label-keyed reference does.  (Two nodes
+    # misbehave, more than t, so the outputs may and do disagree.)
+    assert _vote(("0", "1", VARY), 4, 1, 1) is VARY
+    assert _vote(("0", "1", "0"), 4, 1, 1) == "0" and _vote(("0", "1", "1"), 4, 1, 1) == "1"
+    edits = {1: {(2, 1): "0"}, 2: {(1, 4): "10", (2, 4): "10", (3, 4): "11"}}
+    cfg = SystemConfig(n=4, t=1, c=3, L=12)
+    outputs = []
+    for call in (
+        lambda sim: eig_broadcast(sim, {1: "1"}, range(1, 5), "DD", "dd")[1],
+        lambda sim: eig_reference.eig_broadcast(sim, 1, "1", 1, range(1, 5), 1, "DD", "dd"),
+    ):
+        outputs.append(call(Tampered(cfg, make_strategy("honest", cfg), edits)))
+    assert outputs[0] == outputs[1] == {1: "0", 2: "0", 3: "1", 4: "1"}
+
+
+def test_committee_votes_each_core_instance_once(monkeypatch):
+    # Under randomized_byzantine each receiver holds its own last level,
+    # but only the faulty relayers' entries differ, and the base vote
+    # decides every CORE instance: 3t+1 = 10 votes, not one per receiver.
+    calls = []
+    vote = eig._vote
+    monkeypatch.setattr(eig, "_vote", lambda *args: calls.append(args) or vote(*args))
+    record = run_scenario(Scenario(n=10, t=3, c=4, L=32, algorithm="algo2", strategy="randomized_byzantine"))[0]
+    assert record.passed
+    assert len(calls) == 10
 
 
 class RelayFuzzer(Strategy):

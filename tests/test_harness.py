@@ -469,6 +469,12 @@ _SCENARIO = {"config": {"n": 4, "t": 1, "c": 3, "L": 12}, "strategy": "honest"}
                  "unknown field 'config.D'", id="run_unknown_config_key"),
     pytest.param("run", json.dumps({**_SCENARIO, "strategy": {"name": "honest", "prams": {}}}),
                  "unknown field 'strategy.prams'", id="run_unknown_strategy_key"),
+    pytest.param("run", json.dumps({**_SCENARIO, "strategy": {"name": "symbol_corruptor", "params": "all"}}),
+                 "strategy.params must be an object, not 'all'", id="run_params_not_an_object"),
+    pytest.param("run", json.dumps({**_SCENARIO, "config": 5}), "config must be an object, not 5",
+                 id="run_config_not_an_object"),
+    pytest.param("run", json.dumps({**_SCENARIO, "strategy": ["honest"]}),
+                 "strategy must be a strategy name, not ['honest']", id="run_strategy_is_a_list"),
     pytest.param("sweep", None, "No such file or directory", id="sweep_missing_file"),
     pytest.param("sweep", "{not json", "not JSON", id="sweep_not_json"),
     pytest.param("sweep", "[4, 7]", "not a JSON object", id="sweep_not_an_object"),
