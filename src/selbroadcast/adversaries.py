@@ -3,14 +3,14 @@
 A strategy owns a fixed set of at most t compromised nodes for the whole
 execution.  The engine computes, for every scheduled sender, the payload
 it would transmit when following the protocol; for compromised senders
-that payload is handed to the strategy together with a SlotCtx (which
-holds the fault-free transmissions of the current round, i.e. the
-adversary is rushing), and the strategy returns the actual transmission:
-a `str` to broadcast (`""` is silence) or a `dict` receiver -> payload
-for a selective send, as `channel` defines them.  The default is to
-behave honestly, so each strategy only overrides the slots it attacks.
-A strategy's constructor names the parameters it reads, so any other is
-a TypeError; only `randomized_byzantine` draws, so only it takes a seed.
+that payload is handed to the strategy together with a SlotCtx (the
+slot's tag, sender, receivers and extra), and the strategy returns the
+actual transmission: a `str` to broadcast (`""` is silence) or a `dict`
+receiver -> payload for a selective send, as `channel` defines them.
+The default is to behave honestly, so each strategy only overrides the
+slots it attacks.  A strategy's constructor names the parameters it
+reads, so any other is a TypeError; only `randomized_byzantine` draws,
+so only it takes a seed.
 
 Slot tags used by the protocols:
   "source_value"  the source's value slot (the opening broadcast of both

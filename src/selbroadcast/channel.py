@@ -214,15 +214,13 @@ class DisputeGraph:
 @dataclass(frozen=True)
 class SlotCtx:
     """What a strategy sees of one compromised slot: its tag (see
-    `adversaries`), the sender, every other node as a receiver, the
-    round's `extra` (EIG slots carry {"purpose": ...}) and the fault-free
-    intents of the round, keyed by sender (the rushing view)."""
+    `adversaries`), the sender, every other node as a receiver and the
+    round's `extra` (EIG slots carry {"purpose": ...})."""
 
     tag: str
     sender: int
     receivers: tuple[int, ...]
     extra: Mapping
-    honest_round: Mapping[int, str]
 
 
 @dataclass(slots=True)
@@ -267,9 +265,9 @@ class Simulation:
     Protocol code interacts with the channel only through round(): it
     declares the payload each scheduled sender would transmit when
     following the protocol, and compromised senders' transmissions are
-    rewritten by the adversary strategy (which sees all fault-free
-    transmissions of the round before choosing -- a rushing adversary).
-    The fault oracle is never readable by protocol logic.
+    rewritten by the adversary strategy, which sees its slot's context
+    and the payload the protocol gave the sender.  The fault oracle is
+    never readable by protocol logic.
     """
 
     def __init__(self, config: SystemConfig, strategy):
@@ -294,7 +292,6 @@ class Simulation:
         self.round_no += 1
         n, faulty, trace = self.config.n, self.faulty, self.trace
         senders = sorted(intents)
-        honest_view = None  # the rushing view, built at the round's first faulty slot
         inboxes: dict[int, dict[int, str]] = {i: {} for i in self.config.nodes}
         for slot, s in enumerate(senders, start=1):
             inboxes[s][s] = intents[s]
@@ -302,10 +299,7 @@ class Simulation:
             if honest:
                 tx = intents[s]
             else:
-                if honest_view is None:
-                    honest_view = {h: intents[h] for h in senders if h not in faulty}
-                ctx = SlotCtx(tag, s, _others(n, s), extra or {}, honest_view)
-                tx = self.strategy.act(ctx, intents[s])
+                tx = self.strategy.act(SlotCtx(tag, s, _others(n, s), extra or {}), intents[s])
             delivered = channel_deliver(s, tx, n, faulty)
             if not delivered:
                 continue

@@ -10,52 +10,41 @@ Tree labels are tuples of distinct node ids rooted at the designated
 source.  Round 1 the source sends its value; in round r every node
 broadcasts, for each level-(r-1) label not containing it, the value it
 holds for that label.  After t+1 rounds each node resolves the tree
-bottom-up by strict majority with an all-zeros default on ties or
-missing values.
+bottom-up by strict majority, all zeros on a tie or a missing value.
 
-Batch: one call runs one instance per source of its `values`, all over
-the same participants and `skip`, in the same t+1 rounds, so a node
-sends at most one slot per round.  The values share one width (a batch
-of mixed widths is refused).  Round 1 gives each source one slot, its
-value.  In relay round r (1..t) each relayer sends one payload, the
-`pack` of every relayed instance's kept values, in ascending source
-order: (m-2)!/(m-1-r)! values of 1+width bits per instance, with m
-participants.  A payload of any other total length reads as absent in
-every instance.  A one-entry batch is one instance, slot for slot.
+Batch: one call runs one instance per source of its `values`, all of one
+width, over the same participants and `skip` in the same t+1 rounds (a
+single source is a batch of one).  A node sends one slot per round at
+most, a source its value in round 1.  In relay round r (1..t) a relayer
+sends one `pack` of every relayed instance's kept values in ascending
+source order: (m-2)!/(m-1-r)! values of 1+width bits per instance, with
+m participants.  Any other length reads as absent in every instance.
 
-Layout: each node holds one tuple of values per tree depth, in the label
-order `[lab + (i,) for lab in level for i in participants if i not in lab]`,
-so the children of a value form one contiguous block and every block of
-a depth has the same size.  That shape depends only on m, t and the
-source's position among the sorted participants, so `_shape`, the only
-layout table, computes it once per (m, t, position): per relay round,
-each position's `keep` (an `itemgetter` of the values it relays) and
-one gather permutation that builds the next level from the other
-positions' rows in participant order.  A batch adds two rules: its
-instances lie in ascending source order, and each relayer skips the one
-it sources.  No call looks at a label.  A node's next level is a
-function of its view alone, so it is built once per distinct view and
-shared by the receivers that hold it: once per round when every relayer
-sends one payload to all.  Each distinct payload is parsed once per
-round into its rows per instance, a relayer's own intent not at all.
+Layout: a node holds one tuple per tree depth for the whole batch: each
+instance's values in the label order `[lab + (i,) for lab in level for i
+in participants if i not in lab]` (the children of a value form one
+block, of one size per depth), the instances in source order.  `_tree`
+computes a source at position 0's tables once per (m, t); any other
+source's tree is that one with the positions renamed in order.  So
+`_layout` composes, by arithmetic, per relay round each relayer's `keep`
+and one gather for all instances, cached per (m, t, source positions),
+every index an int of one shared pool.  No call looks at a label.  Each
+distinct view builds its next level once, by one `extend` per relayer and
+one gather; each distinct payload is parsed once, by one `unpack`.
 
-The last level is voted where it is built, first once per instance on a
-base level shared by every view: a relayer whose payload differs between
-views (one that equivocated per receiver) gives VARY, a sentinel, at
-each of its values there, and its payloads are not parsed for it.  A
-strict majority holds whatever the VARY entries turn out to be; a block
-with none that holds VARY votes VARY.  A root other than VARY is every
-participant's output.  Otherwise the instance falls back to one build
-and vote per view, whose receivers take that vote.  A vote stops at the
-first depth whose entries all agree, since every strict majority above
-it returns that entry.  With one view the base is that view, so an
-honest run votes once per instance, and the vote stops at once.
+The last level is voted where it is built, each instance on its slice,
+first on a base level shared by every view: a relayer whose payload
+differs between views (one that equivocated per receiver) gives VARY, a
+sentinel, at each of its values.  A strict majority holds whatever the
+VARY entries turn out to be; a block with none that holds VARY votes
+VARY.  A root other than VARY is every participant's output; an instance
+left VARY is voted again on each view's level.  A vote stops at the first
+depth whose entries all agree.
 
 Payload rules, stated once for every module: `canon` (exact length only)
-and the flagged-list codec `pack`/`unpack` (any other length, silence too,
-reads as all absent).  `pack` of a list with no absent value is one
-join.  Node j reads every relayer, itself included, from its inbox: the
-channel gives each sender its own intent.
+and the flagged-list codec `pack`/`unpack` (any other length, silence
+too, reads as all absent).  Node j reads every relayer, itself included,
+from its inbox: the channel gives each sender its own intent.
 """
 
 from __future__ import annotations
@@ -76,10 +65,11 @@ def canon(payload: Optional[str], length: int) -> Optional[str]:
 
 def pack(values: Sequence[Optional[str]], width: int) -> str:
     """Each value as a 1 flag and its `width` bits; None as `width`+1 zeros."""
-    if None not in values:  # every flag is 1: one join
+    try:  # every flag is 1: one join, which itself refuses a None
         return "1" + "1".join(values) if values else ""
-    absent = "0" * (1 + width)
-    return "".join([absent if v is None else "1" + v for v in values])
+    except TypeError:
+        absent = "0" * (1 + width)
+        return "".join([absent if v is None else "1" + v for v in values])
 
 
 def unpack(payload: str, count: int, width: int) -> list[Optional[str]]:
@@ -106,56 +96,70 @@ def _majority(values: list, default: str):
     return VARY if VARY in values else default
 
 
+_INTS: list[int] = []  # the int object of each table index, shared by every table
+
+
 def _select(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
     """`itemgetter(*positions)`, as a tuple also for a single position."""
-    if len(positions) == 1:
-        (p,) = positions
-        return lambda seq: (seq[p],)
-    return itemgetter(*positions)
+    get = itemgetter(*positions)
+    return get if len(positions) > 1 else lambda seq: (get(seq),)
 
 
 @cache
-def _shape(m: int, faults: int, s: int) -> tuple:
-    """The tree shape of m participants with the source at position s,
-    cached once per (m, faults, s) a process meets.
-
-    Per relay round: `keeps`, for each position, which reads from its
-    level the values it relays (those at labels without it), None at the
-    source; and `gather`, which builds the next level from the other
-    positions' rows concatenated in participant order.
-    """
-    level = [(s,)]
-    rounds = []
+def _tree(m: int, faults: int) -> tuple:
+    """Per relay round of a source at position 0's tree: `kept[x]`, where
+    relayer x (position x+1) finds the values it relays, at labels without
+    it; `gather`, where the next level's values lie in the relayers' rows."""
+    level, rounds, ints = [(0,)], [], _INTS
     for _ in range(faults):
-        kept = [[k for k, lab in enumerate(level) if i not in lab] for i in range(m)]
-        relayers = [i for i in range(m) if i != s]  # their rows have one length
-        start = {i: x * len(kept[i]) for x, i in enumerate(relayers)}
-        level = [lab + (i,) for lab in level for i in range(m) if i not in lab]
+        below = [lab + (i,) for lab in level for i in range(1, m) if i not in lab]
+        ints.extend(range(len(ints), len(below)))  # past every index of this round
+        kept = [tuple([ints[k] for k, lab in enumerate(level) if i not in lab]) for i in range(1, m)]
+        start = [x * len(kept[0]) for x in range(m - 1)]  # the rows have one length
         gather = []  # child lab + (i,) takes the next value of i's row
-        for lab in level:
-            gather.append(start[lab[-1]])
-            start[lab[-1]] += 1
-        keeps = tuple(_select(positions) if positions else None for positions in kept)
-        rounds.append((keeps, _select(gather)))
+        for *_, i in below:
+            gather.append(ints[start[i - 1]])
+            start[i - 1] += 1
+        rounds.append((kept, tuple(gather)))
+        level = below
     return tuple(rounds)
 
 
-def _rows(payload, instances: int, own: Optional[int], count: int, width: int) -> list:
-    """A relayer's payload as its rows per instance: `count` values for
-    each of the `instances` but `own` (the one it sources, None there).  A
-    wrong total length reads as absent throughout, VARY as VARY."""
-    relays = (instances - (own is not None)) * count
-    relayed = [VARY] * relays if payload is VARY else unpack(payload, relays, width)
-    rows = [relayed[a : a + count] for a in range(0, relays, count)]
-    if own is not None:
-        rows.insert(own, None)
-    return rows
+@cache
+def _layout(m: int, faults: int, sources: tuple[int, ...]) -> tuple:
+    """The relaying positions, then per relay round their `keep`s and
+    value counts and the next batch level's `gather`, of the batch sourced
+    at the ascending positions `sources`.  Source s's tree is `_tree`'s
+    with position x+1 renamed x + (x >= s), which keeps the label order."""
+    relayers = [p for p in range(m) if len(sources) > (p in sources)]
+    rounds, size, ints = [], 1, _INTS  # size: one instance's level length
+    for kept, gather in _tree(m, faults):
+        count = len(kept[0])
+        ints.extend(range(len(ints), len(sources) * len(gather)))  # past every index of this round
+        keeps, counts, rows = [], [], [{} for _ in sources]  # rows[k][p]: where p's values of k start
+        for p in relayers:  # instance k's values lie at k * size in a batch level
+            values = []
+            for k, s in enumerate(sources):
+                if s != p:
+                    rows[k][p] = sum(counts) + len(values)
+                    values += [ints[k * size + v] for v in kept[p - (p > s)]]
+            keeps.append(_select(values))
+            counts.append(len(values))
+        batch = []
+        for k, s in enumerate(sources):  # the tree's row x is instance k's row of position x + (x >= s)
+            shift = [rows[k][x + (x >= s)] - x * count for x in range(m - 1)]
+            batch += [ints[v + shift[v // count]] for v in gather]
+        rounds.append((keeps, counts, _select(batch)))
+        size = len(gather)
+    return relayers, rounds
 
 
 def _vote(level: tuple, m: int, faults: int, width: int):
     """One node's output: its last level voted bottom-up by strict
     majority, absent values as the all-zeros default.  VARY, being
     truthy, stays VARY, and so may the result."""
+    if level[0] is not None and level.count(level[0]) == len(level):
+        return level[0]  # every majority is that entry
     default = "0" * width
     values = [v or default for v in level]
     # Children blocks grow by one per level toward the root.
@@ -193,53 +197,49 @@ def eig_broadcast(
     if len(widths) > 1:
         raise ValueError("every value of a batch must have one width")
     (width,) = widths
-    m = len(participants)
+    m, batch = len(participants), len(sources)
     extra = {"purpose": purpose}
 
     inbox = sim.round({s: values[s] for s in sources if s not in skip}, phase, "eig.source", extra)
-    held = [{j: (canon(inbox[j].get(s), width),) for j in participants} for s in sources]
-    own = {participants.index(s): k for k, s in enumerate(sources)}  # position -> its instance
-    relayers = [p for p in range(m) if len(sources) > (p in own)]  # all but a lone source
+    held = {j: tuple([canon(inbox[j].get(s), width) for s in sources]) for j in participants}
+    relayers, rounds = _layout(m, faults, tuple(map(participants.index, sources)))
     senders = [participants[p] for p in relayers]
-    count = 1  # values relayed per instance in relay round r: (m-2)!/(m-1-r)!
-    for r, steps in enumerate(zip(*(_shape(m, faults, p) for p in own)), start=1):
+    outputs = [{} for _ in sources]
+    for r, (keeps, counts, gather) in enumerate(rounds, start=1):
         intents = {}  # a skipped relayer is silent
-        parsed = [{} for _ in relayers]  # per relayer: payload -> rows per instance, None at its own
-        for x, (p, i) in enumerate(zip(relayers, senders)):
+        parsed = [{} for _ in senders]  # per relayer: payload -> its values
+        for i, keep, seen in zip(senders, keeps, parsed):
             if i not in skip:
-                rows = [keeps[p] and keeps[p](level[i]) for (keeps, _), level in zip(steps, held)]
-                intents[i] = "".join([pack(row, width) for row in rows if row])
-                parsed[x][intents[i]] = rows
+                kept = keep(held[i])
+                intents[i] = pack(kept, width)
+                seen[intents[i]] = kept  # a relayer's own payload is never parsed
         inbox = sim.round(intents, phase, "eig.relay", extra)
         silent = [""] * len(senders)
         views: dict[tuple[str, ...], list[int]] = {}  # receivers with equal views share levels
         for j in participants:
             views.setdefault(tuple(map(inbox[j].get, senders, silent)), []).append(j)
-        todo, base = views.items(), None
+        todo, base, undecided = views.items(), None, range(batch)
         if r == faults:  # the base view first: VARY where a relayer's payload differs between views
             base = tuple(p[0] if p.count(p[0]) == len(p) else VARY for p in zip(*views))
             todo = [(base, participants), *todo]
-        for k, (_, gather) in enumerate(steps):
-            level = held[k]
-            for view, receivers in todo:
-                flat = []
-                for x, payload in enumerate(view):
-                    rows = parsed[x].get(payload)
-                    if rows is None:  # not parsed yet
-                        own_k = own.get(relayers[x])
-                        rows = parsed[x][payload] = _rows(payload, len(sources), own_k, count, width)
-                    if rows[k]:
-                        flat.extend(rows[k])
-                built = gather(flat)
-                if r == faults:  # voted where built; the receivers hold their output
-                    built = _vote(built, m, faults, width)
-                    if built is VARY:  # the base is undecided: each view votes its own
-                        continue
-                for j in receivers:
-                    level[j] = built
-                if view is base:  # the base decided every participant
+        for view, receivers in todo:
+            flat = []
+            for payload, seen, count in zip(view, parsed, counts):
+                if payload not in seen:  # a wrong length reads as absent throughout
+                    seen[payload] = [VARY] * count if payload is VARY else unpack(payload, count, width)
+                flat.extend(seen[payload])
+            built = gather(flat)
+            if r < faults:
+                held.update(dict.fromkeys(receivers, built))
+                continue
+            size = len(built) // batch  # voted where built, per instance; the receivers hold the votes
+            for k in undecided:
+                vote = _vote(built[k * size : (k + 1) * size], m, faults, width)
+                outputs[k].update(dict.fromkeys(receivers, vote))
+            if view is base:  # the base decided every participant but where it is VARY
+                undecided = [k for k in undecided if outputs[k][receivers[0]] is VARY]
+                if not undecided:
                     break
-        count *= m - 1 - r
     if not faults:  # the source's round is the last: its one-entry levels are voted here
-        held = [{j: _vote(v, m, 0, width) for j, v in level.items()} for level in held]
-    return dict(zip(sources, held))
+        outputs = [{j: _vote(held[j][k : k + 1], m, 0, width) for j in participants} for k in range(batch)]
+    return dict(zip(sources, outputs))

@@ -266,7 +266,7 @@ class _Untouchable(Strategy):
         raise AssertionError("act called for a round with no faulty sender")
 
 
-def test_mixed_round_hands_the_strategy_every_honest_intent():
+def test_mixed_round_hands_the_strategy_its_slot_and_payload():
     config = SystemConfig(n=4, t=1, c=3, L=12)
     strategy = _Recorder(config)
     sim = Simulation(config, strategy)
@@ -274,7 +274,7 @@ def test_mixed_round_hands_the_strategy_every_honest_intent():
     inboxes = sim.round({3: "11", 1: "10", 2: "01"}, "DB", "alg1.symbol", {"purpose": "x"})
     assert SlotCtx is adversaries.SlotCtx
     assert strategy.seen == [
-        (SlotCtx("alg1.symbol", 1, (2, 3, 4), {"purpose": "x"}, {2: "01", 3: "11"}), "10")
+        (SlotCtx("alg1.symbol", 1, (2, 3, 4), {"purpose": "x"}), "10")
     ]
     # Each sender holds its own intent: the faulty one its protocol payload.
     assert inboxes == {

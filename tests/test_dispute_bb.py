@@ -211,6 +211,13 @@ def test_honest_run_exact_cost():
     assert out.meter.adversary_bits == 0
 
 
+@pytest.mark.parametrize("strategy", ["honest", "randomized_byzantine"])
+def test_thirteen_nodes_four_faults_pass(strategy):
+    # The largest tree the suite runs: t = 4, with a batch of 13 EIG instances in DD.
+    x, outcome = run(13, 4, 4, 20, strategy)
+    assert check_bb_properties(outcome, x)
+
+
 def test_source_step_costs_d_bits():
     _, out = run(4, 1, 3, 12, "honest")
     db_source_slots = [

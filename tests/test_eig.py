@@ -251,6 +251,27 @@ def test_undecided_base_falls_back_to_a_vote_per_view():
     assert outputs[0] == outputs[1] == {1: "0", 2: "0", 3: "1", 4: "1"}
 
 
+def test_vote_cases():
+    # (4,1): a last level of 3 entries, one block.  (7,2): 30 entries, blocks of 5 then 6.
+    assert _vote(("01",) * 30, 7, 2, 2) == "01"
+    assert _vote((None,) * 30, 7, 2, 2) == "00"
+    assert _vote((VARY,) * 30, 7, 2, 2) is VARY
+    level = ("1",) * 29 + ("0",)
+    assert _vote(level, 7, 2, 1) == _full_fold(level, 7, 2, 1) == "1"
+    for level in (("1", None, "1"), (None, "1", "1"), ("0", "1", None)):
+        assert _vote(level, 4, 1, 1) == _full_fold(level, 4, 1, 1)
+
+
+def test_dd_batch_packs_once_per_relayer_per_round(monkeypatch):
+    # An honest (10,3,4), L=16 run is one generation whose DD batch runs
+    # 3 relay rounds of 10 relayers: one pack per relayer's payload.
+    calls = []
+    monkeypatch.setattr(eig, "pack", lambda *args: calls.append(args) or pack(*args))
+    record = run_scenario(Scenario(n=10, t=3, c=4, L=16))[0]
+    assert record.passed
+    assert len(calls) == 30
+
+
 def test_committee_votes_each_core_instance_once(monkeypatch):
     # Under randomized_byzantine each receiver holds its own last level,
     # but only the faulty relayers' entries differ, and the base vote
@@ -414,9 +435,7 @@ def _part(participants, values, relayer, source, relay_round):
     return at * size, (at + 1) * size, len(relayed) * size
 
 
-@settings(max_examples=200, deadline=None)
-@given(eig_batches([(4, 1, 3, 12), (7, 1, 3, 15), (7, 2, 3, 9)]))
-def test_batch_matches_each_instance_alone_in_reference(batch):
+def _batch_matches_reference(batch):
     # The batch runs under RelayFuzzer.  Each instance then runs alone
     # through the reference, whose corrupt slots deliver that instance's
     # part of what the batch's slot delivered, or silence where the
@@ -449,6 +468,18 @@ def test_batch_matches_each_instance_alone_in_reference(batch):
         for rnd, (intents, _) in enumerate(alone_log, start=1):
             batch_intents = log[rnd - 1][0]
             assert intents == {i: part(rnd, i, batch_intents[i]) for i in intents}, (source, rnd)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eig_batches([(4, 1, 3, 12), (7, 1, 3, 15), (7, 2, 3, 9)]))
+def test_batch_matches_each_instance_alone_in_reference(batch):
+    _batch_matches_reference(batch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(eig_batches([(10, 3, 4, 16)]))
+def test_batch_matches_each_instance_alone_in_reference_at_t3(batch):
+    _batch_matches_reference(batch)
 
 
 @st.composite
