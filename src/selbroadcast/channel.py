@@ -12,6 +12,8 @@ its own payload (a "selective" send), and only a faulty sender may make
 one; a receiver whose payload is `""` hears nothing.  Transmissions never
 collide and are never lost.  A sender knows what it meant to send: its own
 inbox holds its intent, never metered, so no protocol re-inserts it.
+Inboxes are read-only: the nodes that heard the same payloads share one
+inbox, and a node gets its own only where it heard differently.
 
 Traffic by fault-free nodes and traffic by compromised nodes are metered
 separately: reported algorithm complexity covers only nodes following the
@@ -288,30 +290,42 @@ class Simulation:
 
     def round(self, intents: Mapping[int, str], phase: str, tag: str, extra: Optional[dict] = None) -> dict[int, dict[int, str]]:
         """Run one synchronous round; returns per-node inboxes, in which each
-        scheduled sender holds its own intent, silence included."""
+        scheduled sender holds its own intent, silence included.  Inboxes are
+        read-only: the nodes that heard alike share one, the round's
+        broadcasts; a node holds its own only where a selective send reached
+        it or it is a sender that did not transmit its intent (or is silent)."""
         self.round_no += 1
         n, faulty, trace = self.config.n, self.faulty, self.trace
-        senders = sorted(intents)
-        inboxes: dict[int, dict[int, str]] = {i: {} for i in self.config.nodes}
-        for slot, s in enumerate(senders, start=1):
-            inboxes[s][s] = intents[s]
+        heard: dict[int, str] = {}  # the broadcasts: the inbox of every node that heard alike
+        own: dict[int, dict[int, str]] = {}  # from a copy of `heard` when a node first heard otherwise
+        for slot, s in enumerate(sorted(intents), start=1):
+            intent = intents[s]
             honest = s not in faulty
             if honest:
-                tx = intents[s]
+                tx = intent
             else:
-                tx = self.strategy.act(SlotCtx(tag, s, _others(n, s), extra or {}), intents[s])
+                tx = self.strategy.act(SlotCtx(tag, s, _others(n, s), extra or {}), intent)
             delivered = channel_deliver(s, tx, n, faulty)
-            if not delivered:
-                continue
             if isinstance(tx, str):
+                if tx:
+                    heard[s] = tx
+                    for box in own.values():
+                        box[s] = tx
                 kind, messages, bits = "broadcast", 1, len(tx)
             else:
+                for r, payload in delivered.items():
+                    if r not in own:
+                        own[r] = dict(heard)
+                    own[r][s] = payload
                 kind, messages = "selective", len(delivered)
                 bits = sum(map(len, delivered.values()))
-            trace.append(TraceEntry(self.round_no, slot, s, kind, bits, phase, honest, messages))
-            for r, payload in delivered.items():
-                inboxes[r][s] = payload
-        return inboxes
+            if s not in own and (not intent or tx != intent):
+                own[s] = dict(heard)
+            if s in own:  # its intent, over what it broadcast
+                own[s][s] = intent
+            if delivered:
+                trace.append(TraceEntry(self.round_no, slot, s, kind, bits, phase, honest, messages))
+        return dict.fromkeys(self.config.nodes, heard) | own
 
 
 @dataclass

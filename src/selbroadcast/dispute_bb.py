@@ -234,9 +234,16 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
             }
             inbox2 = sim.round(intents, "DB", "alg1.symbol")
 
+            # Peers in no dispute pair that share a symbol inbox and an `own`
+            # see the same symbols: each such group assembles one view.
             views: dict[int, list[Optional[int]]] = {}
+            assembled: dict[tuple[int, ...], list[Optional[int]]] = {}
+            disputing = {v for pair in disputes.pairs for v in pair}
             for i in active_peers:
-                views[i] = db_assemble_view(code, i, own[i], inbox2[i], disputes, excluded)
+                key = (i,) if i in disputing else (id(inbox2[i]), id(own[i]))
+                if key not in assembled:
+                    assembled[key] = db_assemble_view(code, i, own[i], inbox2[i], disputes, excluded)
+                views[i] = assembled[key]
                 z_i, det_i = db_resolve(code, views[i])
                 rec.z[i], rec.detected[i] = z_i, det_i
 

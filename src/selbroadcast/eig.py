@@ -44,7 +44,8 @@ depth whose entries all agree.
 Payload rules, stated once for every module: `canon` (exact length only)
 and the flagged-list codec `pack`/`unpack` (any other length, silence
 too, reads as all absent).  Node j reads every relayer, itself included,
-from its inbox: the channel gives each sender its own intent.
+from its inbox: the channel gives each sender its own intent.  Receivers
+that share an inbox (they heard alike) share what is read from it.
 """
 
 from __future__ import annotations
@@ -201,7 +202,12 @@ def eig_broadcast(
     extra = {"purpose": purpose}
 
     inbox = sim.round({s: values[s] for s in sources if s not in skip}, phase, "eig.source", extra)
-    held = {j: tuple([canon(inbox[j].get(s), width) for s in sources]) for j in participants}
+    held, seen = {}, {}  # seen: per distinct inbox (by id), what its receivers hold
+    for j in participants:
+        box = inbox[j]
+        if id(box) not in seen:
+            seen[id(box)] = tuple([canon(box.get(s), width) for s in sources])
+        held[j] = seen[id(box)]
     relayers, rounds = _layout(m, faults, tuple(map(participants.index, sources)))
     senders = [participants[p] for p in relayers]
     outputs = [{} for _ in sources]
@@ -216,8 +222,13 @@ def eig_broadcast(
         inbox = sim.round(intents, phase, "eig.relay", extra)
         silent = [""] * len(senders)
         views: dict[tuple[str, ...], list[int]] = {}  # receivers with equal views share levels
+        seen = {}  # per distinct inbox (by id): its view
         for j in participants:
-            views.setdefault(tuple(map(inbox[j].get, senders, silent)), []).append(j)
+            box = inbox[j]
+            view = seen.get(id(box))
+            if view is None:
+                view = seen[id(box)] = tuple(map(box.get, senders, silent))
+            views.setdefault(view, []).append(j)
         todo, base, undecided = views.items(), None, range(batch)
         if r == faults:  # the base view first: VARY where a relayer's payload differs between views
             base = tuple(p[0] if p.count(p[0]) == len(p) else VARY for p in zip(*views))

@@ -18,6 +18,10 @@ inverse of the Vandermonde matrix of those points.  A code keeps that
 matrix, in log form, for each position subset it meets (in a run, nearly
 always the first n-2t positions), so a decode is (n-2t)^2 exp/log lookups
 after one field check of the n-2t symbols.
+
+A code also keeps its last checked view, as a tuple, and its verdict: an
+equal view gets that verdict without a decode, so the equal views of an
+honest generation's peers decode once.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ class RSCode:
             tuple(field.log[field.pow(x, d)] for d in range(k)) for x in self.points
         )
         self._decoders: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        self._last: tuple = (None, None)  # the last checked view, as a tuple, and its verdict
 
     def encode(self, data: Sequence[int]) -> tuple[int, ...]:
         """Evaluate the data polynomial at all n points."""
@@ -135,17 +140,21 @@ class RSCode:
         Reconstructs from the first n-2t non-null positions, re-encodes,
         and compares against every non-null entry.  By the minimum-distance
         property this gives the same verdict as enumerating all subsets.
-        Raises ValueError if fewer than n-2t entries are non-null (a
-        dispute-accounting bug upstream).
+        A view equal in content to the last one checked gets its verdict
+        again, without a decode.  Raises ValueError if fewer than n-2t
+        entries are non-null (a dispute-accounting bug upstream).
         """
-        nonnull = [p for p in range(1, self.n + 1) if view[p - 1] is not None]
+        symbols = tuple(view)
+        if symbols == self._last[0]:
+            return self._last[1]
+        nonnull = [p for p in range(1, self.n + 1) if symbols[p - 1] is not None]
         if len(nonnull) < self.k:
             raise ValueError(
                 f"view has {len(nonnull)} non-null symbols, need at least {self.k}"
             )
-        data = self._decode(view, tuple(nonnull[: self.k]))
+        data = self._decode(symbols, tuple(nonnull[: self.k]))
         codeword = self.encode(data)
-        for p in nonnull:
-            if codeword[p - 1] != view[p - 1]:
-                return None
+        if any(codeword[p - 1] != symbols[p - 1] for p in nonnull):
+            data = None
+        self._last = symbols, data
         return data

@@ -1,6 +1,8 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selbroadcast import adversaries, run_algorithm2, run_byzantine_broadcast
 from selbroadcast.adversaries import Strategy, make_strategy
@@ -305,6 +307,75 @@ def test_all_honest_round_never_calls_act():
         TraceEntry(1, 1, 1, "broadcast", 1, "DD", True, 1),
         TraceEntry(1, 3, 3, "broadcast", 1, "DD", True, 1),
     ]
+
+
+INTENT = object()  # a faulty sender transmits its intent itself
+
+
+class _Scripted(Strategy):
+    """Corrupts `faulty`; sender s transmits `txs[s]`, its intent itself
+    where that is INTENT."""
+
+    def __init__(self, config, *, faulty, txs):
+        super().__init__(config)
+        self.faulty, self.txs = faulty, txs
+
+    def corrupt_set(self):
+        return self.faulty
+
+    def act(self, ctx, honest_payload):
+        tx = self.txs[ctx.sender]
+        return honest_payload if tx is INTENT else tx
+
+
+_BITS = st.text("01", max_size=4)
+
+
+@st.composite
+def _rounds(draw):
+    """A config, its faulty nodes, a round's intents and each faulty
+    sender's transmission: a str, silence, its intent or a dict."""
+    n = draw(st.integers(4, 7))
+    config = SystemConfig(n=n, t=(n - 1) // 3, c=3, L=3 * (n - 2 * ((n - 1) // 3)))
+    nodes = list(config.nodes)
+    faulty = frozenset(draw(st.lists(st.sampled_from(nodes), max_size=config.t, unique=True)))
+    senders = draw(st.lists(st.sampled_from(nodes), min_size=1, unique=True))
+    intents = {s: draw(_BITS) for s in senders}
+    txs = {}
+    for s in faulty & set(senders):
+        others = st.sampled_from([r for r in nodes if r != s])
+        txs[s] = draw(st.one_of(
+            _BITS, st.just(""), st.just(INTENT), st.dictionaries(others, _BITS)))
+    return config, faulty, intents, txs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rounds())
+def test_round_inboxes_follow_the_per_node_rule_and_share_what_was_heard_alike(drawn):
+    config, faulty, intents, txs = drawn
+    sim = Simulation(config, _Scripted(config, faulty=faulty, txs=txs))
+    inboxes = sim.round(intents, "DB", "alg1.symbol")
+    sent = {s: intents[s] if txs.get(s, INTENT) is INTENT else txs[s] for s in intents}
+    # The rule, node by node: its own intent, every broadcast, and the
+    # selective payloads addressed to it, silence left out, in slot order.
+    for i in config.nodes:
+        expected = {}
+        for s in sorted(intents):
+            heard = sent[s] if isinstance(sent[s], str) else sent[s].get(i, "")
+            if s == i or heard:
+                expected[s] = intents[s] if s == i else heard
+        assert list(inboxes[i].items()) == list(expected.items())
+    # Who holds an inbox of its own: a selective receiver, and a sender
+    # that did not transmit its intent (silence included).  Every other
+    # node holds the one shared inbox.
+    apart = {s for s in intents if not intents[s] or sent[s] != intents[s]}
+    apart.update(r for tx in sent.values() if isinstance(tx, dict) for r, p in tx.items() if p)
+    shared = [j for j in config.nodes if j not in apart]
+    for i in config.nodes:
+        holders = [j for j in config.nodes if inboxes[j] is inboxes[i]]
+        assert holders == ([i] if i in apart else shared)
+    if not faulty & set(intents) and all(intents.values()):
+        assert len({id(box) for box in inboxes.values()}) == 1
 
 
 class _OneTooMany(Strategy):

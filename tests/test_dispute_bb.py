@@ -105,19 +105,20 @@ class _ShortPayloads(Strategy):
 
 
 def test_wrong_length_db_payloads_read_as_silence(monkeypatch):
-    views = {}
-    original = dispute_bb.db_assemble_view
+    views = []  # peers 2, 3 and 4 each resolve one view, in peer order
+    original = dispute_bb.db_resolve
 
-    def spy(code, i, *args):
-        views[i] = view = original(code, i, *args)
-        return view
+    def spy(code, view):
+        views.append(list(view))
+        return original(code, view)
 
-    monkeypatch.setattr(dispute_bb, "db_assemble_view", spy)
+    monkeypatch.setattr(dispute_bb, "db_resolve", spy)
     cfg = SystemConfig(n=4, t=1, c=3, L=6)
     x = "001000"  # codeword (1, 1, 1, 1)
     # Peer 3 sends a 2-bit symbol: a null entry, not a zero-padded "000".
     out = run_byzantine_broadcast(x, cfg, _ShortPayloads(cfg, node=3, cut=1))
-    assert views[2] == [1, 1, None, 1] and views[4] == [1, 1, None, 1]
+    assert len(views) == 3
+    assert views[0] == [1, 1, None, 1] and views[2] == [1, 1, None, 1]
     assert not out.generations[0].dc_invoked
     assert check_bb_properties(out, x)
     # The source sends a 4-bit block "1011": every peer takes the all-zeros
@@ -126,6 +127,34 @@ def test_wrong_length_db_payloads_read_as_silence(monkeypatch):
     out = run_byzantine_broadcast(x, cfg, _ShortPayloads(cfg, node=1, cut=2))
     assert out.generations[0].z == {2: (0, 0), 3: (0, 0), 4: (0, 0)}
     assert out.outputs == {2: "000000", 3: "000000", 4: "000000"}
+    assert check_bb_properties(out, x)
+
+
+class _WrongSymbol(Strategy):
+    """Node 7 sends a wrong symbol: to peer 2 alone in generation 1, to
+    every peer in generation 2."""
+
+    def corrupt_set(self):
+        return frozenset({7})
+
+    def act(self, ctx, honest_payload):
+        if ctx.tag != "alg1.symbol":
+            return honest_payload
+        self.generation = getattr(self, "generation", 0) + 1
+        wrong = ("1" if honest_payload[0] == "0" else "0") + honest_payload[1:]
+        if self.generation == 1:
+            return {r: wrong if r == 2 else honest_payload for r in ctx.receivers}
+        return wrong
+
+
+def test_a_peer_in_dispute_assembles_its_own_view():
+    # In generation 2 peers 2..6 hear node 7 alike, but peer 2 is in
+    # dispute with it: it nulls the wrong symbol the others detect.
+    cfg = SystemConfig(n=7, t=2, c=3, L=18)
+    x = "101100111000101011"
+    out = run_byzantine_broadcast(x, cfg, _WrongSymbol(cfg))
+    assert out.generations[0].new_pairs == ((2, 7),)
+    assert out.generations[1].detected == {2: False, 3: True, 4: True, 5: True, 6: True, 7: False}
     assert check_bb_properties(out, x)
 
 

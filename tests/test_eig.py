@@ -218,7 +218,8 @@ def test_base_vote_is_every_completion_vote_when_decided(case, data):
 
 class Tampered(Simulation):
     """A Simulation that then overwrites inbox entries: `edits` maps a
-    round to {(receiver, sender): payload}."""
+    round to {(receiver, sender): payload}.  Inboxes are read-only and may
+    be shared, so an edited receiver gets an edited copy."""
 
     def __init__(self, config, strategy, edits):
         super().__init__(config, strategy)
@@ -227,7 +228,7 @@ class Tampered(Simulation):
     def round(self, intents, *args):
         inboxes = super().round(intents, *args)
         for (receiver, sender), payload in self.edits.get(self.round_no, {}).items():
-            inboxes[receiver][sender] = payload
+            inboxes[receiver] = {**inboxes[receiver], sender: payload}
         return inboxes
 
 
@@ -503,3 +504,17 @@ def test_whole_run_under_relay_fuzzer_passes(case):
     outcome = run(x, config, RelayFuzzer(config, corrupt=corrupt, seed=seed))
     verdict = check_bb_properties(outcome, x)
     assert verdict, verdict
+
+
+def test_an_honest_batch_reads_each_hearing_once(monkeypatch):
+    # Every node hears the n flags alike, so the one shared inbox is read
+    # once: one canon per source, where n inboxes took n per source.
+    calls = []
+    original = eig.canon
+    monkeypatch.setattr(eig, "canon", lambda payload, length: calls.append(payload) or original(payload, length))
+    config = SystemConfig(n=10, t=3, c=4, L=16)
+    sim = Simulation(config, make_strategy("honest", config))
+    flags = {i: "01"[i % 3 == 0] for i in config.nodes}
+    res = eig_broadcast(sim, flags, config.nodes, "DD", "dd")
+    assert res == {s: dict.fromkeys(config.nodes, flags[s]) for s in config.nodes}
+    assert len(calls) == 10

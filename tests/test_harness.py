@@ -539,6 +539,30 @@ def test_large_payload_runs_are_pinned(tmp_path):
     assert digest.hexdigest() == LARGE_PAYLOAD_DIGEST
 
 
+# sha256 over (10,3,4), L=16, both algorithms, every strategy, seeds 0-1:
+# the CSV, then each record's JSONL trace and its outputs as sorted JSON.
+# At n = 10 three faulty nodes make receivers hear differently in many
+# rounds, which the corpus's t <= 2 runs reach less often.
+WIDE_CORPUS_DIGEST = "372fe8bf71094147e01566828f168e847af74bf9f1c8efb5bd39ea4e7b067501"
+
+
+def test_wide_corpus_bytes_are_pinned(tmp_path):
+    records = []
+    for algorithm in ("dispute_bb", "algo2"):
+        for name in sorted(STRATEGY_REGISTRY):
+            records.extend(run_scenario(Scenario(
+                n=10, t=3, c=4, L=16, algorithm=algorithm, strategy=name, repetitions=2)))
+    digest = hashlib.sha256()
+    path = tmp_path / "out"
+    write_csv(records, path)
+    digest.update(path.read_bytes())
+    for record in records:
+        write_trace(record, path)
+        digest.update(path.read_bytes())
+        digest.update(json.dumps(record.outcome.outputs, sort_keys=True).encode())
+    assert digest.hexdigest() == WIDE_CORPUS_DIGEST
+
+
 def test_sweep_with_two_jobs_writes_what_one_job_writes(tmp_path, capsys):
     # 16 (scenario, repetition) pairs over 8 scenarios, through one pool
     grid = tmp_path / "grid.json"

@@ -4,6 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selbroadcast.adversaries import make_strategy
+from selbroadcast.channel import SystemConfig
+from selbroadcast.dispute_bb import run_byzantine_broadcast
 from selbroadcast.gf import GF
 from selbroadcast.rs import RSCode, bits_to_symbols, symbols_to_bits
 
@@ -231,3 +234,44 @@ def test_bit_conversions():
     assert bits_to_symbols("001000", 3) == (1, 0)
     with pytest.raises(ValueError):
         bits_to_symbols("0010", 3)
+
+
+def _counted(monkeypatch, name):
+    """Calls of RSCode.`name` from here on, each by its view."""
+    calls = []
+    original = getattr(RSCode, name)
+
+    def counted(self, view, *args):
+        calls.append(tuple(view))
+        return original(self, view, *args)
+
+    monkeypatch.setattr(RSCode, name, counted)
+    return calls
+
+
+def test_an_equal_view_gets_the_last_verdict_without_a_decode(monkeypatch):
+    decodes = _counted(monkeypatch, "_decode")
+    code = RSCode(4, 1, GF(3))
+    assert code.consistency_check([1, 1, 1, 1]) == (1, 0)
+    assert code.consistency_check((1, 1, 1, 1)) == (1, 0)  # equal contents, another object
+    assert len(decodes) == 1
+    assert code.consistency_check([1, 1, 1, 3]) is None
+    assert code.consistency_check([1, 1, 1, 3]) is None  # a detection is kept as well
+    assert len(decodes) == 2
+    view = [1, 1, None, 1]
+    assert code.consistency_check(view) == (1, 0)
+    view[3] = 3  # changed in place after its check: checked afresh
+    assert code.consistency_check(view) is None
+    assert len(decodes) == 4
+
+
+def test_an_honest_generation_decodes_once(monkeypatch):
+    # (10,3,4), L=160: 10 generations, each with 9 peers that check one
+    # equal view.
+    checks = _counted(monkeypatch, "consistency_check")
+    decodes = _counted(monkeypatch, "_decode")
+    config = SystemConfig(n=10, t=3, c=4, L=160)
+    x = format(random.Random(3).getrandbits(config.L), f"0{config.L}b")
+    outcome = run_byzantine_broadcast(x, config, make_strategy("honest", config))
+    assert outcome.outputs == dict.fromkeys(config.peers, x)
+    assert (len(checks), len(decodes)) == (90, 10)
