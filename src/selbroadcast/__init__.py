@@ -19,7 +19,6 @@ from .channel import (
     Simulation,
     SystemConfig,
     TrafficMeter,
-    Verdict,
     channel_deliver,
     check_bb_properties,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "TrafficMeter",
     "DisputeGraph",
     "BbOutcome",
-    "Verdict",
     "ModelViolation",
     "ProtocolError",
     "channel_deliver",

@@ -7,10 +7,11 @@ takes `int` parameters only, `check_input` an input of exactly L 0s and
 
 A transmission is a `str` or a `dict`.  A `str` is a broadcast: one
 message, received identically and with correct attribution by every other
-node; `""` is silence and costs nothing.  A `dict` maps each receiver to
-its own payload (a "selective" send), and only a faulty sender may make
-one; a receiver whose payload is `""` hears nothing.  Transmissions never
-collide and are never lost.  A sender knows what it meant to send: its own
+node, so `channel_deliver` delivers it as itself; `""` is silence and costs
+nothing.  A `dict` maps each receiver, a node id of 1..n, to its own `str`
+payload (a "selective" send), and only a faulty sender may make one; a
+receiver whose payload is `""` hears nothing.  Transmissions never collide
+and are never lost.  A sender knows what it meant to send: its own
 inbox holds its intent, never metered, so no protocol re-inserts it.
 Inboxes are read-only: the nodes that heard the same payloads share one
 inbox, and a node gets its own only where it heard differently.
@@ -21,9 +22,12 @@ protocol.  One broadcast is one message with its payload bits counted
 once; a selective transmission costs one message per distinct receiver.
 Simulation.round meters each delivered slot once, into its TraceEntry; the
 trace is the only ledger, and a TrafficMeter is a fold of it
-(TrafficMeter.from_trace, which BbOutcome.meter holds).  The point-to-point
-cost of the same execution, where a fault-free broadcast is n-1 messages,
-is the view TrafficMeter.as_unicast.
+(TrafficMeter.from_trace, which BbOutcome.meter holds), four ints per
+phase.  The point-to-point cost of the same execution, where a fault-free
+broadcast is n-1 messages, is the view TrafficMeter.as_unicast.
+
+A verdict is its text: check_bb_properties returns "Pass" or
+"Fail(<property>)", the string the CSV row holds.
 """
 
 from __future__ import annotations
@@ -101,57 +105,47 @@ def check_input(x: str, L: int) -> None:
 Transmission = str | dict  # a broadcast, or receiver -> payload
 
 
-@dataclass
-class PhaseCounts:
-    honest_messages: int = 0
-    honest_bits: int = 0
-    adversary_messages: int = 0
-    adversary_bits: int = 0
-
-
 class TrafficMeter:
-    """Message and bit counters, split honest/adversary and by phase."""
+    """Message and bit counters by phase: by_phase[phase] is the list
+    [honest messages, honest bits, adversary messages, adversary bits]."""
 
     def __init__(self):
-        self.by_phase: dict[str, PhaseCounts] = {}
+        self.by_phase: dict[str, list[int]] = {}
 
     def add(self, honest: bool, phase: str, messages: int, bits: int) -> None:
         counts = self.by_phase.get(phase)
         if counts is None:
-            counts = self.by_phase[phase] = PhaseCounts()
-        if honest:
-            counts.honest_messages += messages
-            counts.honest_bits += bits
-        else:
-            counts.adversary_messages += messages
-            counts.adversary_bits += bits
+            counts = self.by_phase[phase] = [0, 0, 0, 0]
+        i = 0 if honest else 2
+        counts[i] += messages
+        counts[i + 1] += bits
 
-    def _total(self, attr: str) -> int:
-        return sum(getattr(c, attr) for c in self.by_phase.values())
+    def _total(self, i: int) -> int:
+        return sum(c[i] for c in self.by_phase.values())
 
     @property
     def honest_messages(self) -> int:
-        return self._total("honest_messages")
+        return self._total(0)
 
     @property
     def honest_bits(self) -> int:
-        return self._total("honest_bits")
+        return self._total(1)
 
     @property
     def adversary_messages(self) -> int:
-        return self._total("adversary_messages")
+        return self._total(2)
 
     @property
     def adversary_bits(self) -> int:
-        return self._total("adversary_bits")
+        return self._total(3)
 
     def phase_honest_bits(self, phase: str) -> int:
         c = self.by_phase.get(phase)
-        return c.honest_bits if c else 0
+        return c[1] if c else 0
 
     def phase_honest_messages(self, phase: str) -> int:
         c = self.by_phase.get(phase)
-        return c.honest_messages if c else 0
+        return c[0] if c else 0
 
     @classmethod
     def from_trace(cls, entries: Iterable["TraceEntry"]) -> "TrafficMeter":
@@ -167,11 +161,9 @@ class TrafficMeter:
         per receiver, are unchanged."""
         phases = frozenset(phases)
         view = TrafficMeter()
-        for phase, c in self.by_phase.items():
+        for phase, (hm, hb, am, ab) in self.by_phase.items():
             k = n - 1 if phase in phases else 1
-            view.by_phase[phase] = PhaseCounts(
-                c.honest_messages * k, c.honest_bits * k, c.adversary_messages, c.adversary_bits
-            )
+            view.by_phase[phase] = [hm * k, hb * k, am, ab]
         return view
 
 
@@ -245,18 +237,26 @@ def _others(n: int, sender: int) -> tuple[int, ...]:
 
 def channel_deliver(
     sender: int, tx: Transmission, n: int, faulty: frozenset[int]
-) -> dict[int, str]:
+) -> str | dict[int, str]:
     """Deliver one slot transmission to every other node.
 
-    Returns {receiver: payload} for the receivers that got a non-empty
-    payload.  Raises ModelViolation if a fault-free sender attempts a
-    selective transmission.
+    A broadcast is delivered as itself, the one payload every other node
+    hears; silence is "".  A selective send is delivered as {receiver:
+    payload}, in id order, for the receivers other than the sender that
+    got a non-empty payload.  Raises ModelViolation if a fault-free sender
+    attempts a selective transmission or a faulty one addresses a key that
+    is not a node id of 1..n, and TypeError for a payload that is not a str.
     """
     if isinstance(tx, str):
-        return dict.fromkeys(_others(n, sender), tx) if tx else {}
+        return tx
     if isinstance(tx, dict):
         if sender not in faulty:
             raise ModelViolation(f"fault-free node {sender} attempted selective send")
+        for r, payload in tx.items():
+            if type(r) is not int or not 0 < r <= n:  # a bool is not a node id either
+                raise ModelViolation(f"faulty node {sender} sent to {r!r}, not a node of 1..{n}")
+            if not isinstance(payload, str):
+                raise TypeError(f"faulty node {sender} sent {payload!r} to node {r}, not a str")
         return {r: tx[r] for r in sorted(tx) if r != sender and tx[r]}
     raise TypeError(f"unknown transmission {tx!r}")
 
@@ -306,12 +306,12 @@ class Simulation:
             else:
                 tx = self.strategy.act(SlotCtx(tag, s, _others(n, s), extra or {}), intent)
             delivered = channel_deliver(s, tx, n, faulty)
-            if isinstance(tx, str):
-                if tx:
-                    heard[s] = tx
+            if isinstance(delivered, str):
+                if delivered:
+                    heard[s] = delivered
                     for box in own.values():
-                        box[s] = tx
-                kind, messages, bits = "broadcast", 1, len(tx)
+                        box[s] = delivered
+                kind, messages, bits = "broadcast", 1, len(delivered)
             else:
                 for r, payload in delivered.items():
                     if r not in own:
@@ -349,29 +349,17 @@ class BbOutcome:
         return sum(rec.dc_invoked for rec in self.generations)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    passed: bool
-    reason: str = ""
-    witnesses: tuple = ()
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-    def __str__(self) -> str:
-        return "Pass" if self.passed else f"Fail({self.reason})"
-
-
-def check_bb_properties(outcome: BbOutcome, x: str) -> Verdict:
-    """Termination (L-bit outputs), consistency and validity over the fault-free peers."""
+def check_bb_properties(outcome: BbOutcome, x: str) -> str:
+    """The verdict on termination (L-bit outputs), consistency and validity
+    over the fault-free peers: "Pass", or "Fail(<the first property broken>)",
+    one of "Fail(Termination)", "Fail(Consistency)" and "Fail(Validity)"."""
     outputs, faulty = outcome.outputs, outcome.faulty
-    peers = tuple(p for p in outcome.config.peers if p not in faulty)
-    missing = tuple(p for p in peers if len(outputs.get(p) or "") != outcome.config.L)
-    if missing:
-        return Verdict(False, "Termination", missing)
+    peers = [p for p in outcome.config.peers if p not in faulty]
+    if any(len(outputs.get(p) or "") != outcome.config.L for p in peers):
+        return "Fail(Termination)"
     values = {outputs[p] for p in peers}
     if len(values) > 1:
-        return Verdict(False, "Consistency", peers)
+        return "Fail(Consistency)"
     if 1 not in faulty and values - {x}:
-        return Verdict(False, "Validity", peers)
-    return Verdict(True)
+        return "Fail(Validity)"
+    return "Pass"

@@ -46,7 +46,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, help="CSV output path")
     parser.add_argument("--trace", type=Path, help="directory for JSONL slot logs")
     parser.add_argument("--seed", type=int, help="override the base seed")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for all the runs")
+    parser.add_argument("--jobs", type=_jobs, default=1, help="worker processes for all the runs")
+
+
+def _jobs(text: str) -> int:
+    """A worker count: an integer of at least 1, else argparse's usage error."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0  # refused below, with the same message
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
+    return jobs
 
 
 def _label(scenario: Scenario, seed: int) -> str:
@@ -234,11 +245,8 @@ def _cmd_replay(args) -> int:
     print(f"{len(entries)} slots")
     print(f"{'phase':<8}{'honest_msgs':>12}{'honest_bits':>12}{'adv_msgs':>10}{'adv_bits':>10}")
     for phase in sorted(meter.by_phase):
-        c = meter.by_phase[phase]
-        print(
-            f"{phase:<8}{c.honest_messages:>12}{c.honest_bits:>12}"
-            f"{c.adversary_messages:>10}{c.adversary_bits:>10}"
-        )
+        honest_msgs, honest_bits, adv_msgs, adv_bits = meter.by_phase[phase]
+        print(f"{phase:<8}{honest_msgs:>12}{honest_bits:>12}{adv_msgs:>10}{adv_bits:>10}")
     return 0
 
 

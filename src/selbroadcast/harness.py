@@ -166,7 +166,7 @@ def run_repetition(scenario: Scenario, rep: int) -> MetricsRecord:
         "strategy": scenario.strategy,
         "seed": seed,
         "rep": rep,
-        "verdict": str(verdict),
+        "verdict": verdict,
         "honest_messages": meter.honest_messages,
         "honest_bits": meter.honest_bits,
         "adversary_messages": meter.adversary_messages,

@@ -120,14 +120,14 @@ def test_wrong_length_db_payloads_read_as_silence(monkeypatch):
     assert len(views) == 3
     assert views[0] == [1, 1, None, 1] and views[2] == [1, 1, None, 1]
     assert not out.generations[0].dc_invoked
-    assert check_bb_properties(out, x)
+    assert check_bb_properties(out, x) == "Pass"
     # The source sends a 4-bit block "1011": every peer takes the all-zeros
     # default, not the zero-padded "101100".
     x = "101101"
     out = run_byzantine_broadcast(x, cfg, _ShortPayloads(cfg, node=1, cut=2))
     assert out.generations[0].z == {2: (0, 0), 3: (0, 0), 4: (0, 0)}
     assert out.outputs == {2: "000000", 3: "000000", 4: "000000"}
-    assert check_bb_properties(out, x)
+    assert check_bb_properties(out, x) == "Pass"
 
 
 class _WrongSymbol(Strategy):
@@ -155,7 +155,7 @@ def test_a_peer_in_dispute_assembles_its_own_view():
     out = run_byzantine_broadcast(x, cfg, _WrongSymbol(cfg))
     assert out.generations[0].new_pairs == ((2, 7),)
     assert out.generations[1].detected == {2: False, 3: True, 4: True, 5: True, 6: True, 7: False}
-    assert check_bb_properties(out, x)
+    assert check_bb_properties(out, x) == "Pass"
 
 
 def test_resolve_unique_and_detected(code):
@@ -234,7 +234,7 @@ def test_mutual_accusations_give_one_new_pair():
 
 def test_honest_run_exact_cost():
     x, out = run(4, 1, 3, 12, "honest")
-    assert check_bb_properties(out, x)
+    assert check_bb_properties(out, x) == "Pass"
     assert out.meter.phase_honest_bits("DB") == 30  # 2 generations x 15
     assert out.dc_invocations == 0
     assert out.meter.adversary_bits == 0
@@ -244,7 +244,7 @@ def test_honest_run_exact_cost():
 def test_thirteen_nodes_four_faults_pass(strategy):
     # The largest tree the suite runs: t = 4, with a batch of 13 EIG instances in DD.
     x, outcome = run(13, 4, 4, 20, strategy)
-    assert check_bb_properties(outcome, x)
+    assert check_bb_properties(outcome, x) == "Pass"
 
 
 def test_source_step_costs_d_bits():
@@ -257,7 +257,7 @@ def test_source_step_costs_d_bits():
 
 def test_equivocating_source_run():
     x, out = run(4, 1, 3, 12, "equivocating_source")
-    assert check_bb_properties(out, x)
+    assert check_bb_properties(out, x) == "Pass"
     assert 1 <= out.dc_invocations <= 2
     assert any(1 in pair for pair in out.disputes.pairs)
     # generation outputs equal the dispute-control by-product
@@ -274,14 +274,14 @@ def test_equivocation_detected_by_receiver_of_v():
 
 def test_symbol_corruptor_pairs_with_witness():
     x, out = run(4, 1, 3, 12, "symbol_corruptor")
-    assert check_bb_properties(out, x)
+    assert check_bb_properties(out, x) == "Pass"
     assert out.dc_invocations >= 1
     assert all(4 in pair for pair in out.disputes.pairs)
 
 
 def test_consistent_lie_detected_by_all_or_harmless():
     x, out = run(4, 1, 3, 12, "symbol_corruptor", mode="all")
-    assert check_bb_properties(out, x)
+    assert check_bb_properties(out, x) == "Pass"
     for g in out.generations:
         if g.skipped:
             continue
@@ -299,7 +299,7 @@ def test_fault_free_detection_must_yield_a_new_pair(monkeypatch):
 
 def test_detection_liar_forces_dispute_control_then_exclusion():
     x, out = run(4, 1, 3, 12, "detection_liar")
-    assert check_bb_properties(out, x)
+    assert check_bb_properties(out, x) == "Pass"
     assert out.generations[0].dc_invoked
     assert out.generations[0].new_pairs == ()
     assert 4 in out.disputes.identified_faulty
@@ -308,7 +308,7 @@ def test_detection_liar_forces_dispute_control_then_exclusion():
 
 def test_claim_liar_paired_with_truthful_witness():
     x, out = run(4, 1, 3, 12, "claim_liar")
-    assert check_bb_properties(out, x)
+    assert check_bb_properties(out, x) == "Pass"
     assert any(4 in pair for pair in out.disputes.pairs)
 
 
@@ -316,7 +316,7 @@ def test_source_disqualification_defaults_remaining_generations():
     # Equivocating every generation: after at most t(t+1) = 2 dispute
     # phases the source exceeds t disputes and is excluded.
     x, out = run(4, 1, 3, 30, "equivocating_source", seed=3)
-    assert check_bb_properties(out, x)
+    assert check_bb_properties(out, x) == "Pass"
     assert out.dc_invocations <= 2
     assert 1 in out.disputes.identified_faulty
     assert any(g.skipped for g in out.generations)

@@ -503,7 +503,7 @@ def test_whole_run_under_relay_fuzzer_passes(case):
     x = "".join(rng.choice("01") for _ in range(config.L))
     outcome = run(x, config, RelayFuzzer(config, corrupt=corrupt, seed=seed))
     verdict = check_bb_properties(outcome, x)
-    assert verdict, verdict
+    assert verdict == "Pass", verdict
 
 
 def test_an_honest_batch_reads_each_hearing_once(monkeypatch):

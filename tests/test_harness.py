@@ -23,7 +23,7 @@ from selbroadcast import (
 )
 from selbroadcast import dispute_bb, harness
 from selbroadcast.harness import grid_scenarios, pairs, run_pairs
-from selbroadcast.channel import ProtocolError, TraceEntry, Verdict
+from selbroadcast.channel import ProtocolError, TraceEntry
 from selbroadcast.cli import main
 
 METER_COLUMNS = ("honest_messages", "honest_bits", "adversary_messages", "adversary_bits")
@@ -246,7 +246,7 @@ def test_cli_stops_at_the_first_fail_verdict(tmp_path, capsys, monkeypatch):
     def failing(outcome, x):
         checked.append(outcome.config.seed)
         if outcome.config.seed == 1:
-            return Verdict(False, "Validity", (2, 3, 4))
+            return "Fail(Validity)"
         return original(outcome, x)
 
     monkeypatch.setattr(harness, "check_bb_properties", failing)
@@ -384,10 +384,7 @@ def test_cli_replay_counts_selective_sends_per_receiver(tmp_path, capsys):
         phase, *counts = line.split()
         rows[phase] = tuple(map(int, counts))
     meter = record.outcome.meter
-    assert rows == {
-        phase: (c.honest_messages, c.honest_bits, c.adversary_messages, c.adversary_bits)
-        for phase, c in meter.by_phase.items()
-    }
+    assert rows == {phase: tuple(c) for phase, c in meter.by_phase.items()}
     assert sum(r[2] for r in rows.values()) == record.row["adversary_messages"] == 204
 
 
@@ -680,3 +677,21 @@ def test_cli_reports_a_raised_run_alike_with_two_jobs(tmp_path, capsys, monkeypa
         "FAIL n=4 t=1 L=6 dispute_bb/honest seed=1 ProtocolError: raised after the DB rounds"
         " trace=fail_seed1.jsonl")
     assert reported["2"] == reported["1"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_cli_refuses_jobs_below_one_before_any_run(tmp_path, capsys, monkeypatch, command, jobs):
+    # A usage error, exit 2, before the file is read or anything runs.
+    def no_run(*args):
+        raise AssertionError("a repetition ran")
+
+    monkeypatch.setattr(harness, "run_repetition", no_run)
+    out_csv = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path / "missing.json"), "--out", str(out_csv), "--jobs", jobs])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --jobs: must be an integer of at least 1, not {jobs!r}" in captured.err
+    assert not out_csv.exists()
