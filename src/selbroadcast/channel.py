@@ -280,6 +280,7 @@ class Simulation:
             raise ValueError("strategy corrupts more than t nodes")
         self.trace: list[TraceEntry] = []
         self.round_no = 0
+        self._nodes = tuple(config.nodes)
 
     def __enter__(self) -> "Simulation":
         return self
@@ -293,7 +294,8 @@ class Simulation:
         scheduled sender holds its own intent, silence included.  Inboxes are
         read-only: the nodes that heard alike share one, the round's
         broadcasts; a node holds its own only where a selective send reached
-        it or it is a sender that did not transmit its intent (or is silent)."""
+        it or it is a sender that did not transmit its intent (or is silent).
+        The own inboxes are merged in only when some node has one."""
         self.round_no += 1
         n, faulty, trace = self.config.n, self.faulty, self.trace
         heard: dict[int, str] = {}  # the broadcasts: the inbox of every node that heard alike
@@ -325,7 +327,10 @@ class Simulation:
                 own[s][s] = intent
             if delivered:
                 trace.append(TraceEntry(self.round_no, slot, s, kind, bits, phase, honest, messages))
-        return dict.fromkeys(self.config.nodes, heard) | own
+        inboxes = dict.fromkeys(self._nodes, heard)
+        if own:
+            inboxes.update(own)
+        return inboxes
 
 
 @dataclass
@@ -350,12 +355,13 @@ class BbOutcome:
 
 
 def check_bb_properties(outcome: BbOutcome, x: str) -> str:
-    """The verdict on termination (L-bit outputs), consistency and validity
-    over the fault-free peers: "Pass", or "Fail(<the first property broken>)",
-    one of "Fail(Termination)", "Fail(Consistency)" and "Fail(Validity)"."""
+    """The verdict on termination (outputs of L bits, each 0 or 1, by
+    `check_input`'s rule), consistency and validity over the fault-free
+    peers: "Pass", or "Fail(<the first property broken>)", one of
+    "Fail(Termination)", "Fail(Consistency)" and "Fail(Validity)"."""
     outputs, faulty = outcome.outputs, outcome.faulty
     peers = [p for p in outcome.config.peers if p not in faulty]
-    if any(len(outputs.get(p) or "") != outcome.config.L for p in peers):
+    if any(len(outputs.get(p) or "") != outcome.config.L or outputs[p].strip("01") for p in peers):
         return "Fail(Termination)"
     values = {outputs[p] for p in peers}
     if len(values) > 1:

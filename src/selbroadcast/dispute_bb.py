@@ -29,9 +29,16 @@ Each D-bit generation runs three phases:
       149.5 MB, and the `committee_byzantine` benchmark's from 27.3 to
       34.7 MB.
 
-A payload of the wrong length reads as silence (`eig.canon`); a peer with
-no D-bit source block takes the all-zeros default.  Fault-free symbols
-alone give every fault-free peer's view its n-2t non-null symbols.
+A payload of the wrong length, or one that is not all 0s and 1s, reads
+as silence (`eig.canon`); a peer with no D-bit source block takes the
+all-zeros default.  Fault-free symbols alone give every fault-free peer's
+view its n-2t non-null symbols.
+
+Disputes change only in a DC pass.  So the state read from them (the
+excluded nodes, the active peers and those that trust the source, the
+nodes in some dispute and the DD flag sources) is read at the first
+generation and again at the first generation after each DC pass, and
+every generation in between uses it as it stands.
 """
 
 from __future__ import annotations
@@ -192,13 +199,20 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
     disputes = DisputeGraph(t)
     nodes = tuple(config.nodes)
     generations: list[GenerationRecord] = []
+    excluded = None  # None: the dispute state below is to be read (again)
 
     with Simulation(config, strategy) as sim:
+        fault_free = [i for i in nodes if i not in sim.faulty]
         for start in range(0, config.L, D):
             x_bits = x[start : start + D]
             rec = GenerationRecord()
             generations.append(rec)
-            excluded = disputes.identified_faulty
+            if excluded is None:  # the first generation, or the first after a DC pass
+                excluded = disputes.identified_faulty
+                active_peers = [i for i in config.peers if i not in excluded]
+                trusting = [i for i in active_peers if not disputes.in_dispute(1, i)]
+                disputing = {v for pair in disputes.pairs for v in pair}
+                flag_sources = [i for i in nodes if i not in excluded]
 
             if 1 in excluded:
                 # Disqualified source: all remaining generations take the
@@ -210,18 +224,14 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
 
             # --- Detectable Broadcast -------------------------------------
             inbox = sim.round({1: x_bits}, "DB", "source_value")
-            active_peers = [i for i in config.peers if i not in excluded]
             # blocks[i]: the block peer i received; own[i]: its codeword.
             # Both are None when i is in dispute with the source, and i then
             # stays silent in the symbol slot.  Each distinct block is
             # encoded once.
-            blocks: dict[int, Optional[Block]] = {}
-            own: dict[int, Optional[tuple[int, ...]]] = {}
+            blocks: dict[int, Optional[Block]] = dict.fromkeys(active_peers)
+            own: dict[int, Optional[tuple[int, ...]]] = dict.fromkeys(active_peers)
             encoded: dict[str, tuple[Block, tuple[int, ...]]] = {}
-            for i in active_peers:
-                if disputes.in_dispute(1, i):
-                    blocks[i] = own[i] = None
-                    continue
+            for i in trusting:
                 bits = canon(inbox[i].get(1), D) or "0" * D
                 if bits not in encoded:
                     block = bits_to_symbols(bits, c)
@@ -238,7 +248,6 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
             # see the same symbols: each such group assembles one view.
             views: dict[int, list[Optional[int]]] = {}
             assembled: dict[tuple[int, ...], list[Optional[int]]] = {}
-            disputing = {v for pair in disputes.pairs for v in pair}
             for i in active_peers:
                 key = (i,) if i in disputing else (id(inbox2[i]), id(own[i]))
                 if key not in assembled:
@@ -248,16 +257,16 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
                 rec.z[i], rec.detected[i] = z_i, det_i
 
             # --- Detection Dissemination ----------------------------------
-            fault_free = [i for i in nodes if i not in sim.faulty]
-            flags = {i: "1" if rec.detected.get(i, False) else "0" for i in nodes if i not in excluded}
+            flags = {i: "1" if rec.detected.get(i, False) else "0" for i in flag_sources}
             res = eig_broadcast(sim, flags, nodes, "DD", "dd", skip=excluded)
             for i in nodes:  # an excluded node sources no flag and announces nothing
                 rec.announced[i] = i in res and _agreed(
                     res[i], fault_free, f"detection broadcast of node {i}") == "1"
 
             if not any(rec.announced.values()):
+                y = {z: symbols_to_bits(z, c) for z in set(rec.z.values())}
                 for i in config.peers:
-                    rec.y_bits[i] = "0" * D if i in excluded else symbols_to_bits(rec.z[i], c)
+                    rec.y_bits[i] = "0" * D if i in excluded else y[rec.z[i]]
                 continue
 
             # --- Dispute Control ------------------------------------------
@@ -287,6 +296,7 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
                     )
                 # Only liars announced: every announcer is faulty.
                 disputes.identify(i for i, flag in rec.announced.items() if flag)
+            excluded = None  # the disputes may have changed: read them again
 
             for i in config.peers:
                 rec.y_bits[i] = x_common_bits

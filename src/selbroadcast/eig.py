@@ -27,10 +27,12 @@ block, of one size per depth), the instances in source order.  `_tree`
 computes a source at position 0's tables once per (m, t); any other
 source's tree is that one with the positions renamed in order.  So
 `_layout` composes, by arithmetic, per relay round each relayer's `keep`
-and one gather for all instances, cached per (m, t, source positions),
-every index an int of one shared pool.  No call looks at a label.  Each
-distinct view builds its next level once, by one `extend` per relayer and
-one gather; each distinct payload is parsed once, by one `unpack`.
+and one gather for all instances, every index an int of one shared pool.
+It is cached per (participants, source ids, t) together with the call's
+set-up: both sorted, the two checks on them, the source positions and
+the relayers' ids.  No call looks at a label.  Each distinct view builds
+its next level once, by one `extend` per relayer and one gather; each
+distinct payload is parsed once, by one `unpack`.
 
 The last level is voted where it is built, each instance on its slice,
 first on a base level shared by every view: a relayer whose payload
@@ -41,9 +43,11 @@ VARY.  A root other than VARY is every participant's output; an instance
 left VARY is voted again on each view's level.  A vote stops at the first
 depth whose entries all agree.
 
-Payload rules, stated once for every module: `canon` (exact length only)
-and the flagged-list codec `pack`/`unpack` (any other length, silence
-too, reads as all absent).  Node j reads every relayer, itself included,
+Payload rules, stated once for every module: `canon` (exact length, all
+0s and 1s, only) and the flagged-list codec `pack`/`unpack` (any other
+length, silence too, reads as all absent).  A vote that is not bits
+reads as the all-zeros default, so a relayed value that is not bits
+never becomes an output.  Node j reads every relayer, itself included,
 from its inbox: the channel gives each sender its own intent.  Receivers
 that share an inbox (they heard alike) share what is read from it.
 """
@@ -57,9 +61,12 @@ from typing import Callable, Mapping, Optional, Sequence
 from .channel import Simulation
 
 
+_BITS = str.maketrans("", "", "01")  # a translate by it leaves what is not a bit
+
+
 def canon(payload: Optional[str], length: int) -> Optional[str]:
-    """A received value counts only at exactly `length` bits."""
-    if payload and len(payload) == length:
+    """A received value counts only at exactly `length` bits, each 0 or 1."""
+    if payload and len(payload) == length and not payload.translate(_BITS):
         return payload
     return None
 
@@ -127,11 +134,19 @@ def _tree(m: int, faults: int) -> tuple:
 
 
 @cache
-def _layout(m: int, faults: int, sources: tuple[int, ...]) -> tuple:
-    """The relaying positions, then per relay round their `keep`s and
-    value counts and the next batch level's `gather`, of the batch sourced
-    at the ascending positions `sources`.  Source s's tree is `_tree`'s
-    with position x+1 renamed x + (x >= s), which keeps the label order."""
+def _layout(participants: tuple[int, ...], ids: tuple[int, ...], faults: int) -> tuple:
+    """The participants and the source ids, each ascending, the relayers'
+    ids, then per relay round the relayers' `keep`s and value counts and
+    the next batch level's `gather`, of the batch sourced at `ids`.  Source
+    s's tree (s a position) is `_tree`'s with position x+1 renamed x +
+    (x >= s), which keeps the label order."""
+    participants, ids = tuple(sorted(participants)), tuple(sorted(ids))
+    if not ids or not set(ids) <= set(participants):
+        raise ValueError("every source must participate")
+    m = len(participants)
+    if m < 3 * faults + 1:
+        raise ValueError("need at least 3t+1 participants")
+    sources = tuple(map(participants.index, ids))
     relayers = [p for p in range(m) if len(sources) > (p in sources)]
     rounds, size, ints = [], 1, _INTS  # size: one instance's level length
     for kept, gather in _tree(m, faults):
@@ -152,23 +167,27 @@ def _layout(m: int, faults: int, sources: tuple[int, ...]) -> tuple:
             batch += [ints[v + shift[v // count]] for v in gather]
         rounds.append((keeps, counts, _select(batch)))
         size = len(gather)
-    return relayers, rounds
+    return participants, ids, tuple([participants[p] for p in relayers]), rounds
 
 
 def _vote(level: tuple, m: int, faults: int, width: int):
     """One node's output: its last level voted bottom-up by strict
-    majority, absent values as the all-zeros default.  VARY, being
-    truthy, stays VARY, and so may the result."""
-    if level[0] is not None and level.count(level[0]) == len(level):
-        return level[0]  # every majority is that entry
-    default = "0" * width
-    values = [v or default for v in level]
-    # Children blocks grow by one per level toward the root.
-    for size in range(m - faults, m):
-        if values == [values[0]] * len(values):  # every majority above is that entry
-            break
-        values = [_majority(values[k : k + size], default) for k in range(0, len(values), size)]
-    return values[0]
+    majority, absent values as the all-zeros default, and a result that
+    is not bits as the default too.  VARY, being truthy, stays VARY, and
+    so may the result."""
+    root = level[0]
+    if root is None or level.count(root) != len(level):  # else every majority is that entry
+        default = "0" * width
+        values = [v or default for v in level]
+        # Children blocks grow by one per level toward the root.
+        for size in range(m - faults, m):
+            if values == [values[0]] * len(values):  # every majority above is that entry
+                break
+            values = [_majority(values[k : k + size], default) for k in range(0, len(values), size)]
+        root = values[0]
+    if root is not VARY and root.translate(_BITS):
+        return "0" * width
+    return root
 
 
 def eig_broadcast(
@@ -188,16 +207,10 @@ def eig_broadcast(
     faulty); their tree positions resolve to the default.
     """
     faults = sim.config.t
-    participants = tuple(sorted(participants))
-    sources = sorted(values)
-    if not sources or not set(sources) <= set(participants):
-        raise ValueError("every source must participate")
-    if len(participants) < 3 * faults + 1:
-        raise ValueError("need at least 3t+1 participants")
-    widths = {len(value) for value in values.values()}
-    if len(widths) > 1:
+    participants, sources, senders, rounds = _layout(tuple(participants), tuple(values), faults)
+    width = len(values[sources[0]])
+    if any(len(value) != width for value in values.values()):
         raise ValueError("every value of a batch must have one width")
-    (width,) = widths
     m, batch = len(participants), len(sources)
     extra = {"purpose": purpose}
 
@@ -208,8 +221,6 @@ def eig_broadcast(
         if id(box) not in seen:
             seen[id(box)] = tuple([canon(box.get(s), width) for s in sources])
         held[j] = seen[id(box)]
-    relayers, rounds = _layout(m, faults, tuple(map(participants.index, sources)))
-    senders = [participants[p] for p in relayers]
     outputs = [{} for _ in sources]
     for r, (keeps, counts, gather) in enumerate(rounds, start=1):
         intents = {}  # a skipped relayer is silent
@@ -231,7 +242,10 @@ def eig_broadcast(
             views.setdefault(view, []).append(j)
         todo, base, undecided = views.items(), None, range(batch)
         if r == faults:  # the base view first: VARY where a relayer's payload differs between views
-            base = tuple(p[0] if p.count(p[0]) == len(p) else VARY for p in zip(*views))
+            if len(views) == 1:  # one view is the base as it stands
+                (base,) = views
+            else:
+                base = tuple(p[0] if p.count(p[0]) == len(p) else VARY for p in zip(*views))
             todo = [(base, participants), *todo]
         for view, receivers in todo:
             flat = []

@@ -19,13 +19,18 @@ matrix, in log form, for each position subset it meets (in a run, nearly
 always the first n-2t positions), so a decode is (n-2t)^2 exp/log lookups
 after one field check of the n-2t symbols.
 
-A code also keeps its last checked view, as a tuple, and its verdict: an
-equal view gets that verdict without a decode, so the equal views of an
-honest generation's peers decode once.
+A code keeps one slot, `_last`: the last codeword it wrote with its data
+block, or the last view it checked, as a tuple, with its verdict.  A view
+equal to the slot's gets that verdict without a decode or a re-encode.  A
+full view equal to a codeword has that codeword's block as its only
+consistent block, by the distance property above, so the peers of an
+honest generation, whose views equal the codeword their own encode has
+just written, decode nothing.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional, Sequence
 
 from .gf import GF
@@ -34,8 +39,14 @@ from .gf import GF
 PartialView = Sequence[Optional[int]]
 
 
+@cache
+def _bit_strings(c: int) -> tuple[str, ...]:
+    """The c-bit string of every symbol of GF(2^c), by value."""
+    return tuple(format(s, f"0{c}b") for s in range(1 << c))
+
+
 def symbols_to_bits(symbols: Sequence[int], c: int) -> str:
-    return "".join(format(s, f"0{c}b") for s in symbols)
+    return "".join(map(_bit_strings(c).__getitem__, symbols))
 
 
 def bits_to_symbols(bits: str, c: int) -> tuple[int, ...]:
@@ -63,14 +74,16 @@ class RSCode:
             tuple(field.log[field.pow(x, d)] for d in range(k)) for x in self.points
         )
         self._decoders: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-        self._last: tuple = (None, None)  # the last checked view, as a tuple, and its verdict
+        self._last: tuple = (None, None)  # the last codeword written or view checked, and its block
 
     def encode(self, data: Sequence[int]) -> tuple[int, ...]:
         """Evaluate the data polynomial at all n points."""
         if len(data) != self.k:
             raise ValueError(f"data block must have {self.k} symbols")
         self.field._check(*data)
-        return self._product(data, self.power_logs)
+        codeword = self._product(data, self.power_logs)
+        self._last = codeword, tuple(data)
+        return codeword
 
     def reconstruct(self, view: PartialView, subset: Sequence[int]) -> tuple[int, ...]:
         """Interpolate the unique data block agreeing with view on subset.
@@ -140,9 +153,10 @@ class RSCode:
         Reconstructs from the first n-2t non-null positions, re-encodes,
         and compares against every non-null entry.  By the minimum-distance
         property this gives the same verdict as enumerating all subsets.
-        A view equal in content to the last one checked gets its verdict
-        again, without a decode.  Raises ValueError if fewer than n-2t
-        entries are non-null (a dispute-accounting bug upstream).
+        A view equal in content to the last codeword written, or to the
+        last view checked, gets that one's block or verdict without a
+        decode.  Raises ValueError if fewer than n-2t entries are non-null
+        (a dispute-accounting bug upstream).
         """
         symbols = tuple(view)
         if symbols == self._last[0]:

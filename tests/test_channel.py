@@ -284,6 +284,12 @@ def test_bb_properties_termination_needs_l_bits():
     assert check_bb_properties(out, "0" * 12) == "Fail(Termination)"
 
 
+def test_bb_properties_termination_needs_bits_of_0_and_1():
+    # L symbols that are not all 0 or 1 are no L-bit output either.
+    out = _outcome({2: "2" * 12, 3: "2" * 12, 4: "2" * 12}, {1})
+    assert check_bb_properties(out, "0" * 12) == "Fail(Termination)"
+
+
 def test_bb_properties_validity_failure():
     v = "1" * 12
     out = _outcome({2: v, 3: v, 4: v})

@@ -10,11 +10,13 @@ from selbroadcast import (
     ProtocolError,
     SystemConfig,
     check_bb_properties,
+    committee,
     majority_vote,
     make_strategy,
     run_algorithm2,
 )
-from selbroadcast.adversaries import random_bits
+from selbroadcast.adversaries import Strategy, random_bits
+from selbroadcast.channel import Simulation
 
 
 def run(n, t, c, L, strategy_name, seed=0, **params):
@@ -98,3 +100,40 @@ def test_input_length_validated():
     config = SystemConfig(n=10, t=1, c=4, L=32)
     with pytest.raises(ValueError):
         run_algorithm2("0" * 31, config, make_strategy("honest", config))
+
+
+class _TwosSource(Strategy):
+    """Corrupts the source, which sends its value's length in "2"s."""
+
+    def corrupt_set(self):
+        return frozenset({1})
+
+    def act(self, ctx, honest_payload):
+        return "2" * len(honest_payload) if ctx.tag == "source_value" else honest_payload
+
+
+def test_a_source_value_that_is_not_bits_reads_as_the_default():
+    # Every active node reads the source's "2"s as no value, so the
+    # committee decides, and passive node 5 outputs, the all-zeros default.
+    config = SystemConfig(n=5, t=1, c=3, L=18)
+    x = random_bits(random.Random(0), 18)
+    out = run_algorithm2(x, config, _TwosSource(config))
+    assert out.outputs == dict.fromkeys(range(2, 6), "0" * 18)
+    assert check_bb_properties(out, x) == "Pass"
+
+
+def test_an_announcement_that_is_not_bits_reads_as_the_default(monkeypatch):
+    # Every announcement reaches passive node 5 as "2"s, as if every
+    # announcer lied (more than t): its votes are the all-zeros default.
+    class Rewritten(Simulation):
+        def round(self, intents, phase, tag, extra=None):
+            inboxes = super().round(intents, phase, tag, extra)
+            if tag == "announce":
+                inboxes[5] = {a: "2" * len(v) for a, v in inboxes[5].items()}
+            return inboxes
+
+    monkeypatch.setattr(committee, "Simulation", Rewritten)
+    config = SystemConfig(n=5, t=1, c=3, L=18)
+    x = random_bits(random.Random(0), 18)
+    out = run_algorithm2(x, config, make_strategy("honest", config))
+    assert out.outputs[5] == "0" * 18

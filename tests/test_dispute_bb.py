@@ -266,6 +266,22 @@ def test_equivocating_source_run():
             assert len({g.y_bits[i] for i in (2, 3, 4)}) == 1
 
 
+def test_dispute_state_is_read_again_after_each_dc_pass():
+    # Generation 1's dispute control pairs the source with peer 2, so in
+    # generation 2 peer 2 stays silent in its symbol slot; generation 2's
+    # pairs the source with peer 3 too, which identifies it: generation 3
+    # is skipped.
+    x, out = run(4, 1, 3, 18, "equivocating_source")
+    assert [g.new_pairs for g in out.generations] == [((1, 2),), ((1, 3),), ()]
+    symbol_senders = {}
+    for e in out.trace:
+        if e.phase == "DB" and e.sender != 1:
+            symbol_senders.setdefault(e.round, []).append(e.sender)
+    assert list(symbol_senders.values()) == [[2, 3, 4], [3, 4]]
+    assert [g.skipped for g in out.generations] == [False, False, True]
+    assert check_bb_properties(out, x) == "Pass"
+
+
 def test_equivocation_detected_by_receiver_of_v():
     x, out = run(4, 1, 3, 12, "equivocating_source")
     first = out.generations[0]
@@ -336,3 +352,65 @@ def test_input_length_validated():
     cfg = SystemConfig(n=4, t=1, c=3, L=12)
     with pytest.raises(ValueError):
         run_byzantine_broadcast("101", cfg, make_strategy("honest", cfg))
+
+
+# --- Payloads that are not bits ------------------------------------------
+
+
+class _Edited(Strategy):
+    """Corrupts `node`, which sends `edit(ctx, payload)` in place of each
+    protocol payload."""
+
+    def __init__(self, config, node, edit):
+        super().__init__(config)
+        self.node, self.edit = node, edit
+
+    def corrupt_set(self):
+        return frozenset({self.node})
+
+    def act(self, ctx, honest_payload):
+        return self.edit(ctx, honest_payload)
+
+
+def _twos_in(tag):
+    """Every character a "2" in the slots of `tag`, the payload elsewhere."""
+    return lambda ctx, p: "2" * len(p) if ctx.tag == tag else p
+
+
+def test_a_source_block_that_is_not_bits_reads_as_the_default():
+    cfg = SystemConfig(n=7, t=2, c=3, L=18)
+    x = random_bits(random.Random(0), 18)
+    out = run_byzantine_broadcast(x, cfg, _Edited(cfg, 1, _twos_in("source_value")))
+    assert out.outputs == dict.fromkeys(range(2, 8), "0" * 18)
+    assert check_bb_properties(out, x) == "Pass"
+
+
+def test_a_symbol_that_is_not_bits_reads_as_null():
+    cfg = SystemConfig(n=7, t=2, c=3, L=18)
+    x = random_bits(random.Random(0), 18)
+    out = run_byzantine_broadcast(x, cfg, _Edited(cfg, 7, _twos_in("alg1.symbol")))
+    assert out.outputs == dict.fromkeys(range(2, 7), x)
+    assert not any(g.dc_invoked for g in out.generations)
+    assert check_bb_properties(out, x) == "Pass"
+
+
+def test_a_claim_that_is_not_bits_reads_as_no_claim():
+    # Node 7 announces detection, then claims a block of "2"s: the claim
+    # reads as none, so every peer that holds 7's symbol disputes it.
+    cfg = SystemConfig(n=7, t=2, c=3, L=18)
+    head = 1 + cfg.c * (cfg.n - 2 * cfg.t)
+
+    def edit(ctx, p):
+        purpose = ctx.extra.get("purpose")
+        if ctx.tag == "eig.source" and purpose == "dd":
+            return "1"
+        if ctx.tag == "eig.source" and purpose == "dc_claim":
+            return "1" + "2" * (head - 1) + p[head:]
+        return p
+
+    x = random_bits(random.Random(0), 18)
+    out = run_byzantine_broadcast(x, cfg, _Edited(cfg, 7, edit))
+    assert out.generations[0].new_pairs == tuple((i, 7) for i in range(1, 7))
+    assert 7 in out.disputes.identified_faulty
+    assert out.outputs == dict.fromkeys(range(2, 7), x)
+    assert check_bb_properties(out, x) == "Pass"

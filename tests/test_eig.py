@@ -252,6 +252,33 @@ def test_undecided_base_falls_back_to_a_vote_per_view():
     assert outputs[0] == outputs[1] == {1: "0", 2: "0", 3: "1", 4: "1"}
 
 
+class TwosSource(Strategy):
+    """Corrupts the source, which sends its value's length in "2"s."""
+
+    def corrupt_set(self):
+        return frozenset({1})
+
+    def act(self, ctx, honest_payload):
+        return "2" * len(honest_payload) if ctx.tag == "eig.source" else honest_payload
+
+
+def test_a_source_value_that_is_not_bits_reads_as_the_default():
+    cfg = SystemConfig(n=4, t=1, c=3, L=12)
+    out = eig_broadcast(Simulation(cfg, TwosSource(cfg)), {1: "101"}, range(1, 5), "DD", "dd")[1]
+    assert out == dict.fromkeys(range(1, 5), "000")
+
+
+def test_a_relayed_value_that_is_not_bits_votes_the_default():
+    # Every relay of the source's value reaches every node as "2", as if
+    # every relayer lied (more than t): the vote is the all-zeros default.
+    assert _vote(("2", "2", "2"), 4, 1, 1) == "0"
+    assert _vote(("2", "2", "1"), 4, 1, 1) == "0"
+    edits = {2: {(j, i): "12" for j in range(1, 5) for i in range(2, 5)}}
+    cfg = SystemConfig(n=4, t=1, c=3, L=12)
+    out = eig_broadcast(Tampered(cfg, make_strategy("honest", cfg), edits), {1: "1"}, range(1, 5), "DD", "dd")[1]
+    assert out == dict.fromkeys(range(1, 5), "0")
+
+
 def test_vote_cases():
     # (4,1): a last level of 3 entries, one block.  (7,2): 30 entries, blocks of 5 then 6.
     assert _vote(("01",) * 30, 7, 2, 2) == "01"

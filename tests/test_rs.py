@@ -265,13 +265,31 @@ def test_an_equal_view_gets_the_last_verdict_without_a_decode(monkeypatch):
     assert len(decodes) == 4
 
 
+def test_a_view_equal_to_the_last_codeword_gets_its_block_without_a_decode(monkeypatch):
+    decodes = _counted(monkeypatch, "_decode")
+    code = RSCode(7, 2, GF(3))
+    codeword = code.encode((5, 0, 3))
+    assert code.consistency_check(list(codeword)) == (5, 0, 3)
+    assert decodes == []
+    changed = list(codeword)
+    changed[4] ^= 1  # one symbol off the codeword: checked afresh, and inconsistent
+    assert code.consistency_check(changed) is None
+    assert len(decodes) == 1
+    code.encode((5, 0, 3))
+    nulled = list(codeword)
+    nulled[4] = None  # every non-null symbol matches, but the view is not the codeword
+    assert code.consistency_check(nulled) == (5, 0, 3)
+    assert len(decodes) == 2
+
+
 def test_an_honest_generation_decodes_once(monkeypatch):
     # (10,3,4), L=160: 10 generations, each with 9 peers that check one
-    # equal view.
+    # equal view, the codeword each peer's own encode has just written:
+    # no view is decoded.
     checks = _counted(monkeypatch, "consistency_check")
     decodes = _counted(monkeypatch, "_decode")
     config = SystemConfig(n=10, t=3, c=4, L=160)
     x = format(random.Random(3).getrandbits(config.L), f"0{config.L}b")
     outcome = run_byzantine_broadcast(x, config, make_strategy("honest", config))
     assert outcome.outputs == dict.fromkeys(config.peers, x)
-    assert (len(checks), len(decodes)) == (90, 10)
+    assert (len(checks), len(decodes)) == (90, 0)
