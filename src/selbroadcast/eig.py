@@ -43,6 +43,21 @@ VARY.  A root other than VARY is every participant's output; an instance
 left VARY is voted again on each view's level.  A vote stops at the first
 depth whose entries all agree.
 
+A run remembers its last alike batch, one that every participant heard
+with one view in each relay round: `_last`, keyed weakly by the
+`Simulation`, holds its key (participants, sources, t, width, `skip`),
+what each participant held after round 1, and per relay round the
+intents, the view and the level built (the outputs in the last round).
+A later batch of that key still makes every `sim.round` call, so every
+`act`, trace entry and count comes about as before.  While what it holds
+after round 1 and the one view it hears in a round equal the remembered
+ones in content, it resends the remembered intents and takes the
+remembered level or outputs: a relay round's intents follow from what
+was held, and its level from the view alone.  The comparison is of what
+was heard, after `act`, so it is exact whatever the strategy does.  At
+the first difference the batch goes on by the code above; a batch with
+several views in a round is not remembered.
+
 Payload rules, stated once for every module: `canon` (exact length, all
 0s and 1s, only) and the flagged-list codec `pack`/`unpack` (any other
 length, silence too, reads as all absent).  A vote that is not bits
@@ -57,6 +72,7 @@ from __future__ import annotations
 from functools import cache
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence
+from weakref import WeakKeyDictionary
 
 from .channel import Simulation
 
@@ -190,6 +206,11 @@ def _vote(level: tuple, m: int, faults: int, width: int):
     return root
 
 
+# Per run, its last alike batch: the key, what each participant held after
+# round 1, then at index r round r's intents, view and level (or outputs).
+_last: WeakKeyDictionary[Simulation, list] = WeakKeyDictionary()
+
+
 def eig_broadcast(
     sim: Simulation,
     values: Mapping[int, str],
@@ -221,15 +242,21 @@ def eig_broadcast(
         if id(box) not in seen:
             seen[id(box)] = tuple([canon(box.get(s), width) for s in sources])
         held[j] = seen[id(box)]
+    record = [(participants, sources, faults, width, skip), dict(held)]  # kept if every round is alike
+    last = _last.get(sim)
+    replay = last if last is not None and last[:2] == record else None  # while this batch repeats it
     outputs = [{} for _ in sources]
-    for r, (keeps, counts, gather) in enumerate(rounds, start=1):
-        intents = {}  # a skipped relayer is silent
+    for r, (keeps, counts, gather) in enumerate(rounds, start=2):  # round r, relay round r - 1
         parsed = [{} for _ in senders]  # per relayer: payload -> its values
-        for i, keep, seen in zip(senders, keeps, parsed):
-            if i not in skip:
-                kept = keep(held[i])
-                intents[i] = pack(kept, width)
-                seen[intents[i]] = kept  # a relayer's own payload is never parsed
+        if replay:
+            intents, heard, _ = replay[r]
+        else:
+            intents = {}  # a skipped relayer is silent
+            for i, keep, seen in zip(senders, keeps, parsed):
+                if i not in skip:
+                    kept = keep(held[i])
+                    intents[i] = pack(kept, width)
+                    seen[intents[i]] = kept  # a relayer's own payload is never parsed
         inbox = sim.round(intents, phase, "eig.relay", extra)
         silent = [""] * len(senders)
         views: dict[tuple[str, ...], list[int]] = {}  # receivers with equal views share levels
@@ -240,8 +267,12 @@ def eig_broadcast(
             if view is None:
                 view = seen[id(box)] = tuple(map(box.get, senders, silent))
             views.setdefault(view, []).append(j)
+        if replay and len(views) == 1 and heard in views:  # heard as remembered: its level is this one's
+            record.append(replay[r])
+            continue
+        replay = None
         todo, base, undecided = views.items(), None, range(batch)
-        if r == faults:  # the base view first: VARY where a relayer's payload differs between views
+        if r > faults:  # the base view first: VARY where a relayer's payload differs between views
             if len(views) == 1:  # one view is the base as it stands
                 (base,) = views
             else:
@@ -254,7 +285,7 @@ def eig_broadcast(
                     seen[payload] = [VARY] * count if payload is VARY else unpack(payload, count, width)
                 flat.extend(seen[payload])
             built = gather(flat)
-            if r < faults:
+            if r <= faults:
                 held.update(dict.fromkeys(receivers, built))
                 continue
             size = len(built) // batch  # voted where built, per instance; the receivers hold the votes
@@ -265,6 +296,14 @@ def eig_broadcast(
                 undecided = [k for k in undecided if outputs[k][receivers[0]] is VARY]
                 if not undecided:
                     break
+        if record and len(views) == 1:
+            record.append((intents, *views, built if r <= faults else outputs))
+        else:
+            record = None
     if not faults:  # the source's round is the last: its one-entry levels are voted here
         outputs = [{j: _vote(held[j][k : k + 1], m, 0, width) for j in participants} for k in range(batch)]
-    return dict(zip(sources, outputs))
+    elif replay:  # every relay round heard as remembered: its outputs
+        outputs = replay[-1][2]
+    if record:
+        _last[sim] = record
+    return {s: dict(votes) for s, votes in zip(sources, outputs)}

@@ -56,7 +56,7 @@ def bits_to_symbols(bits: str, c: int) -> tuple[int, ...]:
 
 
 class RSCode:
-    """Encoder / reconstructor / consistency checker for one (n, t, field)."""
+    """Encoder and consistency checker for one (n, t, field)."""
 
     def __init__(self, n: int, t: int, field: GF):
         k = n - 2 * t
@@ -85,17 +85,6 @@ class RSCode:
         self._last = codeword, tuple(data)
         return codeword
 
-    def reconstruct(self, view: PartialView, subset: Sequence[int]) -> tuple[int, ...]:
-        """Interpolate the unique data block agreeing with view on subset.
-
-        subset holds 1-based positions; it must have exactly n-2t entries,
-        all distinct and non-null in the view.
-        """
-        positions = tuple(sorted(subset))
-        if len(positions) != self.k or len(set(positions)) != self.k:
-            raise ValueError(f"subset must have exactly {self.k} distinct positions")
-        return self._decode(view, positions)
-
     def _decode(self, view: PartialView, positions: tuple[int, ...]) -> tuple[int, ...]:
         """The data block whose codeword holds view's symbols at positions
         (sorted, distinct): data[d] is the XOR over i of y_i * M[d][i], M
@@ -103,14 +92,8 @@ class RSCode:
         kept per position subset."""
         rows = self._decoders.get(positions)
         if rows is None:
-            for p in positions:
-                if not 1 <= p <= self.n:
-                    raise ValueError(f"position {p} out of range")
             rows = self._decoders[positions] = self._decoding_rows(positions)
         ys = [view[p - 1] for p in positions]
-        if None in ys:
-            p = positions[ys.index(None)]
-            raise ValueError(f"position {p} is null in the view")
         self.field._check(*ys)
         return self._product(ys, rows)
 
