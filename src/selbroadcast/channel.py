@@ -26,6 +26,11 @@ trace is the only ledger, and a TrafficMeter is a fold of it
 phase.  The point-to-point cost of the same execution, where a fault-free
 broadcast is n-1 messages, is the view TrafficMeter.as_unicast.
 
+Every slot goes through `channel_deliver`, once.  A fault-free sender
+that transmits (a non-empty str) then takes a short path: its broadcast
+joins the shared inbox and every own inbox, and its TraceEntry is
+appended, with no branch on kind, size or own inbox.
+
 A verdict is its text: check_bb_properties returns "Pass" or
 "Fail(<property>)", the string the CSV row holds.
 """
@@ -151,8 +156,17 @@ class TrafficMeter:
     def from_trace(cls, entries: Iterable["TraceEntry"]) -> "TrafficMeter":
         """The meter of the execution that recorded `entries`."""
         meter = cls()
+        by_phase = meter.by_phase
         for e in entries:
-            meter.add(e.honest, e.phase, e.messages, e.bits)
+            counts = by_phase.get(e.phase)
+            if counts is None:
+                counts = by_phase[e.phase] = [0, 0, 0, 0]
+            if e.honest:
+                counts[0] += e.messages
+                counts[1] += e.bits
+            else:
+                counts[2] += e.messages
+                counts[3] += e.bits
         return meter
 
     def as_unicast(self, n: int, phases: Iterable[str]) -> "TrafficMeter":
@@ -296,7 +310,7 @@ class Simulation:
         broadcasts; a node holds its own only where a selective send reached
         it or it is a sender that did not transmit its intent (or is silent).
         The own inboxes are merged in only when some node has one."""
-        self.round_no += 1
+        self.round_no = round_no = self.round_no + 1
         n, faulty, trace = self.config.n, self.faulty, self.trace
         heard: dict[int, str] = {}  # the broadcasts: the inbox of every node that heard alike
         own: dict[int, dict[int, str]] = {}  # from a copy of `heard` when a node first heard otherwise
@@ -305,9 +319,16 @@ class Simulation:
             honest = s not in faulty
             if honest:
                 tx = intent
+                delivered = channel_deliver(s, tx, n, faulty)
+                if delivered:  # a fault-free send is a str: a broadcast of its intent
+                    heard[s] = delivered
+                    for box in own.values():  # the sender's own box too, which takes its intent
+                        box[s] = delivered
+                    trace.append(TraceEntry(round_no, slot, s, "broadcast", len(delivered), phase, True))
+                    continue
             else:
                 tx = self.strategy.act(SlotCtx(tag, s, _others(n, s), extra or {}), intent)
-            delivered = channel_deliver(s, tx, n, faulty)
+                delivered = channel_deliver(s, tx, n, faulty)
             if isinstance(delivered, str):
                 if delivered:
                     heard[s] = delivered
@@ -326,7 +347,7 @@ class Simulation:
             if s in own:  # its intent, over what it broadcast
                 own[s][s] = intent
             if delivered:
-                trace.append(TraceEntry(self.round_no, slot, s, kind, bits, phase, honest, messages))
+                trace.append(TraceEntry(round_no, slot, s, kind, bits, phase, honest, messages))
         inboxes = dict.fromkeys(self._nodes, heard)
         if own:
             inboxes.update(own)

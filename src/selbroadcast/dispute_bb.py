@@ -34,6 +34,20 @@ as silence (`eig.canon`); a peer with no D-bit source block takes the
 all-zeros default.  Fault-free symbols alone give every fault-free peer's
 view its n-2t non-null symbols.
 
+Peers share work where their inputs are one object or one value, each
+share keyed by what its result depends on:
+
+  - a source inbox (by id): the block read from it, its codeword and
+    the codeword's n symbols as bits, so the symbol intents and, with no
+    DC pass, the bits of a peer that resolved the block it read;
+  - a symbol inbox and a source inbox (by id), for peers in no dispute
+    pair: the view, assembled once (a peer in some pair assembles its
+    own, since its disputes null symbols the others keep);
+  - the code's one-entry memo (`RSCode`): a view equal to the codeword
+    last written, or to the view last checked, gets its verdict without
+    a decode, so `db_resolve`, called once per active peer, decodes
+    nothing in an honest generation.
+
 Disputes change only in a DC pass.  So the state read from them (the
 excluded nodes, the active peers and those that trust the source, the
 nodes in some dispute and the DD flag sources) is read at the first
@@ -58,7 +72,7 @@ from .channel import (
 )
 from .eig import canon, eig_broadcast, pack, unpack
 from .gf import GF
-from .rs import RSCode, bits_to_symbols, symbols_to_bits
+from .rs import RSCode, bit_strings, bits_to_symbols, symbols_to_bits
 
 Block = tuple[int, ...]
 
@@ -95,10 +109,11 @@ def db_assemble_view(
     view: list[Optional[int]] = [None] * n
     if own is not None:
         view[0] = own[0]
+    pairs = disputes.pairs  # with none, no node is in dispute
     for j in range(2, n + 1):
         if j in excluded:
             continue
-        if disputes.in_dispute(1, j) or (j != i and disputes.in_dispute(i, j)):
+        if pairs and (disputes.in_dispute(1, j) or (j != i and disputes.in_dispute(i, j))):
             continue
         symbol = canon(received_symbols.get(j), c)
         if symbol:
@@ -183,11 +198,12 @@ def derive_disputes(
     return new
 
 
-def _agreed(res: dict[int, str], fault_free, what: str) -> str:
-    """The one output all fault-free nodes resolved in an EIG instance."""
+def _agreed(res: dict[int, str], fault_free, what: str, *args) -> str:
+    """The one output all fault-free nodes resolved in an EIG instance;
+    `what % args` names the instance if they did not agree."""
     agreed = {res[j] for j in fault_free}
     if len(agreed) != 1:
-        raise ProtocolError(f"{what} did not agree")
+        raise ProtocolError(f"{what % args} did not agree")
     return agreed.pop()
 
 
@@ -196,6 +212,7 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
     check_input(x, config.L)
     t, c, D = config.t, config.c, config.D
     code = RSCode(config.n, t, GF(c))
+    strings = bit_strings(c)  # by symbol value
     disputes = DisputeGraph(t)
     nodes = tuple(config.nodes)
     generations: list[GenerationRecord] = []
@@ -224,34 +241,33 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
 
             # --- Detectable Broadcast -------------------------------------
             inbox = sim.round({1: x_bits}, "DB", "source_value")
-            # blocks[i]: the block peer i received; own[i]: its codeword.
-            # Both are None when i is in dispute with the source, and i then
-            # stays silent in the symbol slot.  Each distinct block is
-            # encoded once.
-            blocks: dict[int, Optional[Block]] = dict.fromkeys(active_peers)
-            own: dict[int, Optional[tuple[int, ...]]] = dict.fromkeys(active_peers)
-            encoded: dict[str, tuple[Block, tuple[int, ...]]] = {}
+            # got[i]: what peer i read of the source, once per distinct
+            # inbox: its bits, its block, that block's codeword and the
+            # codeword's n symbols as bits.  None when i is in dispute with
+            # the source, and i then stays silent in the symbol slot.
+            got: dict[int, Optional[tuple]] = dict.fromkeys(active_peers)
+            read: dict[int, tuple] = {}
             for i in trusting:
-                bits = canon(inbox[i].get(1), D) or "0" * D
-                if bits not in encoded:
+                box = inbox[i]
+                if id(box) not in read:
+                    bits = canon(box.get(1), D) or "0" * D
                     block = bits_to_symbols(bits, c)
-                    encoded[bits] = block, code.encode(block)
-                blocks[i], own[i] = encoded[bits]
+                    codeword = code.encode(block)
+                    read[id(box)] = bits, block, codeword, [strings[v] for v in codeword]
+                got[i] = read[id(box)]
 
-            intents = {
-                i: "" if own[i] is None else symbols_to_bits([own[i][i - 1]], c)
-                for i in active_peers
-            }
+            intents = {i: "" if g is None else g[3][i - 1] for i, g in got.items()}
             inbox2 = sim.round(intents, "DB", "alg1.symbol")
 
-            # Peers in no dispute pair that share a symbol inbox and an `own`
-            # see the same symbols: each such group assembles one view.
+            # Peers in no dispute pair that share a symbol inbox and a source
+            # inbox see the same symbols: each such group assembles one view.
             views: dict[int, list[Optional[int]]] = {}
             assembled: dict[tuple[int, ...], list[Optional[int]]] = {}
             for i in active_peers:
-                key = (i,) if i in disputing else (id(inbox2[i]), id(own[i]))
+                own = None if got[i] is None else got[i][2]
+                key = (i,) if i in disputing else (id(inbox2[i]), id(own))
                 if key not in assembled:
-                    assembled[key] = db_assemble_view(code, i, own[i], inbox2[i], disputes, excluded)
+                    assembled[key] = db_assemble_view(code, i, own, inbox2[i], disputes, excluded)
                 views[i] = assembled[key]
                 z_i, det_i = db_resolve(code, views[i])
                 rec.z[i], rec.detected[i] = z_i, det_i
@@ -260,13 +276,16 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
             flags = {i: "1" if rec.detected.get(i, False) else "0" for i in flag_sources}
             res = eig_broadcast(sim, flags, nodes, "DD", "dd", skip=excluded)
             for i in nodes:  # an excluded node sources no flag and announces nothing
-                rec.announced[i] = i in res and _agreed(
-                    res[i], fault_free, f"detection broadcast of node {i}") == "1"
+                rec.announced[i] = i in res and _agreed(res[i], fault_free, "detection broadcast of node %d", i) == "1"
 
             if not any(rec.announced.values()):
-                y = {z: symbols_to_bits(z, c) for z in set(rec.z.values())}
-                for i in config.peers:
-                    rec.y_bits[i] = "0" * D if i in excluded else y[rec.z[i]]
+                for i in config.peers:  # a peer that resolved the block it read takes its bits
+                    if i in excluded:
+                        rec.y_bits[i] = "0" * D
+                    elif got[i] is not None and rec.z[i] == got[i][1]:
+                        rec.y_bits[i] = got[i][0]
+                    else:
+                        rec.y_bits[i] = symbols_to_bits(rec.z[i], c)
                 continue
 
             # --- Dispute Control ------------------------------------------
@@ -278,9 +297,9 @@ def run_byzantine_broadcast(x: str, config: SystemConfig, strategy: Strategy) ->
 
             claims: dict[int, tuple[Optional[Block], list[Optional[int]]]] = {}
             for i in active_peers:
-                payload = serialize_claim(blocks[i], views[i], code)
+                payload = serialize_claim(None if got[i] is None else got[i][1], views[i], code)
                 res = eig_broadcast(sim, {i: payload}, nodes, "DC", "dc_claim", skip=excluded)
-                claims[i] = parse_claim(_agreed(res[i], fault_free, f"claim broadcast of peer {i}"), code)
+                claims[i] = parse_claim(_agreed(res[i], fault_free, "claim broadcast of peer %d", i), code)
 
             new_pairs = derive_disputes(code, x_common, claims, disputes)
             rec.new_pairs = tuple(new_pairs)

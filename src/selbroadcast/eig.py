@@ -55,8 +55,13 @@ ones in content, it resends the remembered intents and takes the
 remembered level or outputs: a relay round's intents follow from what
 was held, and its level from the view alone.  The comparison is of what
 was heard, after `act`, so it is exact whatever the strategy does.  At
-the first difference the batch goes on by the code above; a batch with
-several views in a round is not remembered.
+the first difference, in round r, the batch goes on by the code above,
+and its record is the remembered one's first r entries and its own
+rounds after; a batch with several views in a round is not remembered.
+A batch replayed to its end builds no record, copies nothing it holds
+and is not stored again.  What a batch holds is rebound each relay
+round, never written, so a record keeps round 1's dict without a copy;
+the outputs are copied only where a record holds them too.
 
 Payload rules, stated once for every module: `canon` (exact length, all
 0s and 1s, only) and the flagged-list codec `pack`/`unpack` (any other
@@ -242,15 +247,17 @@ def eig_broadcast(
         if id(box) not in seen:
             seen[id(box)] = tuple([canon(box.get(s), width) for s in sources])
         held[j] = seen[id(box)]
-    record = [(participants, sources, faults, width, skip), dict(held)]  # kept if every round is alike
+    key = (participants, sources, faults, width, skip)
     last = _last.get(sim)
-    replay = last if last is not None and last[:2] == record else None  # while this batch repeats it
-    outputs = [{} for _ in sources]
+    if last is not None and last[0] == key and last[1] == held:  # while this batch repeats it
+        replay, record = last, None  # a batch replayed to its end is not stored again
+    else:  # the record is kept if every round is alike; `held` is rebound, never written, below
+        replay, record, outputs = None, [key, held], [{} for _ in sources]
     for r, (keeps, counts, gather) in enumerate(rounds, start=2):  # round r, relay round r - 1
-        parsed = [{} for _ in senders]  # per relayer: payload -> its values
         if replay:
             intents, heard, _ = replay[r]
         else:
+            parsed = [{} for _ in senders]  # per relayer: payload -> its values
             intents = {}  # a skipped relayer is silent
             for i, keep, seen in zip(senders, keeps, parsed):
                 if i not in skip:
@@ -267,10 +274,11 @@ def eig_broadcast(
             if view is None:
                 view = seen[id(box)] = tuple(map(box.get, senders, silent))
             views.setdefault(view, []).append(j)
-        if replay and len(views) == 1 and heard in views:  # heard as remembered: its level is this one's
-            record.append(replay[r])
-            continue
-        replay = None
+        if replay:
+            if len(views) == 1 and heard in views:  # heard as remembered: its level is this one's
+                continue
+            record, replay = replay[:r], None  # the rounds it repeated, then its own
+            parsed, outputs = [{} for _ in senders], [{} for _ in sources]
         todo, base, undecided = views.items(), None, range(batch)
         if r > faults:  # the base view first: VARY where a relayer's payload differs between views
             if len(views) == 1:  # one view is the base as it stands
@@ -278,6 +286,8 @@ def eig_broadcast(
             else:
                 base = tuple(p[0] if p.count(p[0]) == len(p) else VARY for p in zip(*views))
             todo = [(base, participants), *todo]
+        if r <= faults:  # a new dict: a record holds round 1's
+            held = {}
         for view, receivers in todo:
             flat = []
             for payload, seen, count in zip(view, parsed, counts):
@@ -306,4 +316,6 @@ def eig_broadcast(
         outputs = replay[-1][2]
     if record:
         _last[sim] = record
+    elif not replay:  # the outputs are this call's alone
+        return dict(zip(sources, outputs))
     return {s: dict(votes) for s, votes in zip(sources, outputs)}

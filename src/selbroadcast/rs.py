@@ -40,19 +40,19 @@ PartialView = Sequence[Optional[int]]
 
 
 @cache
-def _bit_strings(c: int) -> tuple[str, ...]:
+def bit_strings(c: int) -> tuple[str, ...]:
     """The c-bit string of every symbol of GF(2^c), by value."""
     return tuple(format(s, f"0{c}b") for s in range(1 << c))
 
 
 def symbols_to_bits(symbols: Sequence[int], c: int) -> str:
-    return "".join(map(_bit_strings(c).__getitem__, symbols))
+    return "".join(map(bit_strings(c).__getitem__, symbols))
 
 
 def bits_to_symbols(bits: str, c: int) -> tuple[int, ...]:
     if len(bits) % c:
         raise ValueError("bit string length is not a multiple of the symbol width")
-    return tuple(int(bits[i : i + c], 2) for i in range(0, len(bits), c))
+    return tuple([int(bits[i : i + c], 2) for i in range(0, len(bits), c)])
 
 
 class RSCode:

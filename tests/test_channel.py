@@ -403,7 +403,11 @@ def _rounds(draw):
     return config, faulty, intents, txs
 
 
-@settings(max_examples=300, deadline=None)
+# Tier-1 draws 300 rounds per test; a larger profile (tests/conftest.py) draws more.
+_ROUND_EXAMPLES = max(300, settings().max_examples)
+
+
+@settings(max_examples=_ROUND_EXAMPLES, deadline=None)
 @given(_rounds())
 def test_round_inboxes_follow_the_per_node_rule_and_share_what_was_heard_alike(drawn):
     config, faulty, intents, txs = drawn
@@ -430,6 +434,45 @@ def test_round_inboxes_follow_the_per_node_rule_and_share_what_was_heard_alike(d
         assert holders == ([i] if i in apart else shared)
     if not faulty & set(intents) and all(intents.values()):
         assert len({id(box) for box in inboxes.values()}) == 1
+
+
+def _slot_rule(faulty, intents, sent, round_no, phase):
+    """The trace of a round, slot by slot: slots in sender order, silent
+    ones too; a sender's entry counts what reached other nodes, one
+    message per non-empty payload, and a slot that reached no one has
+    none."""
+    entries = []
+    for slot, s in enumerate(sorted(intents), start=1):
+        tx = sent[s]
+        if isinstance(tx, str):
+            kind, payloads = "broadcast", [tx] if tx else []
+        else:
+            kind, payloads = "selective", [p for r, p in sorted(tx.items()) if r != s and p]
+        if payloads:
+            bits = sum(map(len, payloads))
+            entries.append(TraceEntry(round_no, slot, s, kind, bits, phase, s not in faulty, len(payloads)))
+    return entries
+
+
+@settings(max_examples=_ROUND_EXAMPLES, deadline=None)
+@given(_rounds())
+def test_round_trace_follows_the_per_slot_rule(drawn):
+    config, faulty, intents, txs = drawn
+    sim = Simulation(config, _Scripted(config, faulty=faulty, txs=txs))
+    sent = {s: intents[s] if txs.get(s, INTENT) is INTENT else txs[s] for s in intents}
+    sim.round(intents, "DB", "alg1.symbol")
+    sim.round(intents, "DD", "eig.relay")
+    expected = _slot_rule(faulty, intents, sent, 1, "DB") + _slot_rule(faulty, intents, sent, 2, "DD")
+    assert sim.trace == expected
+    # A malformed send stops its round at its slot: the slots before it
+    # keep their entries, it and the slots after it leave none.
+    bad = min(faulty & set(intents), default=None)
+    if bad is not None:
+        sim.strategy.txs = {**txs, bad: {0: "1"}}
+        with pytest.raises(ModelViolation):
+            sim.round(intents, "DC", "eig.relay")
+        before = [e for e in _slot_rule(faulty, intents, sent, 3, "DC") if e.sender < bad]
+        assert sim.trace == expected + before
 
 
 class _OneTooMany(Strategy):

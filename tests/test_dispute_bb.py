@@ -158,6 +158,43 @@ def test_a_peer_in_dispute_assembles_its_own_view():
     assert check_bb_properties(out, x) == "Pass"
 
 
+class _TwinBlock(Strategy):
+    """Faulty source: the last peer q gets a twin of the block, one whose
+    codeword equals the block's at q's position but not at position 1;
+    every other peer gets the block itself."""
+
+    def corrupt_set(self):
+        return frozenset({1})
+
+    def act(self, ctx, honest_payload):
+        if ctx.tag != "source_value":
+            return honest_payload
+        n, t, c = self.config.n, self.config.t, self.config.c
+        code, q = RSCode(n, t, GF(c)), n
+        word = code.encode(bits_to_symbols(honest_payload, c))
+        for value in range(1 << len(honest_payload)):
+            twin = format(value, f"0{len(honest_payload)}b")
+            other = code.encode(bits_to_symbols(twin, c))
+            if other[q - 1] == word[q - 1] and other[0] != word[0]:
+                return {r: twin if r == q else honest_payload for r in ctx.receivers}
+        raise AssertionError("no twin block")
+
+
+@pytest.mark.parametrize("n, t, c", [(4, 1, 3), (7, 2, 3)])
+def test_a_twin_block_is_detected_by_its_receiver_alone(n, t, c):
+    # Peer q's symbols are all the honest codeword's, its own included: only
+    # its re-encoding of the twin at position 1 differs.  A view shared with
+    # a peer that read the other block (one view per symbol inbox, say)
+    # would hide the twin from q.
+    cfg = SystemConfig(n=n, t=t, c=c, L=c * (n - 2 * t))
+    x = random_bits(random.Random(0), cfg.L)
+    out = run_byzantine_broadcast(x, cfg, _TwinBlock(cfg))
+    (rec,) = out.generations
+    assert [i for i, flag in rec.detected.items() if flag] == [n]
+    assert rec.dc_invoked and rec.new_pairs == ((1, n),)
+    assert check_bb_properties(out, x) == "Pass"
+
+
 def test_resolve_unique_and_detected(code):
     assert db_resolve(code, [1, 1, 1, 1]) == ((1, 0), False)
     block, detected = db_resolve(code, [1, 1, 1, 3])

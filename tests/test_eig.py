@@ -636,6 +636,26 @@ class Sequenced(Simulation):
         return self.inboxes
 
 
+def test_a_batch_that_stops_repeating_is_remembered_as_it_went_on(monkeypatch):
+    # Batch 2 repeats batch 1 up to its relay rounds, which every node hears
+    # flipped.  It stores batch 1's record up to there and its own rounds
+    # after, so batch 3, heard as batch 2 was, replays it to the end: batch
+    # 1 packs in both relay rounds, batch 2 in the last one, batch 3 never.
+    calls = []
+    monkeypatch.setattr(eig, "pack", lambda *args: calls.append(args) or pack(*args))
+    config = SystemConfig(n=7, t=2, c=3, L=9)
+    sim = Sequenced(config, Moody(config, corrupt=frozenset()))
+    flags = {i: "01"[i % 2] for i in config.nodes}
+    packs, results = [], []
+    for garble in (False, True, True):
+        sim.garble = garble
+        results.append(eig_broadcast(sim, flags, config.nodes, "DD", "dd"))
+        packs.append(len(calls))
+        calls.clear()
+    assert packs == [2 * 7, 7, 0]
+    assert results[2] == results[1] != results[0]
+
+
 @st.composite
 def batch_sequences(draw):
     # One key for 2-4 batches: participants, sources, t and width are
